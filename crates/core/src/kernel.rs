@@ -164,7 +164,7 @@ pub fn run_gpu_kernel_static<S: NeighborSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sources::ZeroCopySource;
+    use crate::sources::{CachedSource, ZeroCopySource};
     use gcsm_gpusim::GpuConfig;
     use gcsm_graph::{CsrGraph, DynamicGraph};
     use gcsm_pattern::queries;
@@ -209,27 +209,50 @@ mod tests {
         assert!(device.snapshot().zerocopy_bytes > 0);
     }
 
+    /// A sealed random graph with inserts and deletes in flight.
+    fn sealed_random_graph() -> (DynamicGraph, Vec<EdgeUpdate>) {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let n = 120u32;
+        let mut rng = SmallRng::seed_from_u64(5);
+        let edges: Vec<_> = (0..900)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let g0 = CsrGraph::from_edges(n as usize, &edges);
+        let mut batch: Vec<EdgeUpdate> =
+            g0.edges().step_by(11).map(|(a, b)| EdgeUpdate::delete(a, b)).collect();
+        batch.extend((0..60).map(|_| EdgeUpdate::insert(rng.gen_range(0..n), rng.gen_range(0..n))));
+        let mut g = DynamicGraph::from_csr(&g0);
+        let summary = g.apply_batch(&batch);
+        (g, summary.applied)
+    }
+
     #[test]
     fn serial_and_parallel_agree() {
-        let g0 = CsrGraph::from_edges(8, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
-        let mut g = DynamicGraph::from_csr(&g0);
-        let batch = vec![EdgeUpdate::insert(2, 4), EdgeUpdate::delete(0, 1)];
-        let summary = g.apply_batch(&batch);
-        let dev_a = Device::new(GpuConfig::default());
-        let dev_b = Device::new(GpuConfig::default());
-        let q = queries::triangle();
-        let sa = {
-            let src = ZeroCopySource { graph: &g, device: &dev_a };
-            run_gpu_kernel(&dev_a, &src, &q, &summary.applied, &EngineConfig::default())
-        };
-        let sb = {
-            let src = ZeroCopySource { graph: &g, device: &dev_b };
-            let cfg = EngineConfig { parallel_kernel: false, ..EngineConfig::default() };
-            run_gpu_kernel(&dev_b, &src, &q, &summary.applied, &cfg)
-        };
-        assert_eq!(sa.stats.matches, sb.stats.matches);
-        assert_eq!(sa.stats.intersect_ops, sb.stats.intersect_ops);
-        assert!((sa.imbalance - sb.imbalance).abs() < 1e-9);
-        assert_eq!(dev_a.snapshot().zerocopy_bytes, dev_b.snapshot().zerocopy_bytes);
+        use gcsm_cache::Dcsr;
+        let (g, applied) = sealed_random_graph();
+        // Cache every third vertex so the kernel sees hits and misses.
+        let cached: Vec<u32> = (0..g.num_vertices() as u32).step_by(3).collect();
+        let dcsr = Dcsr::pack(&g, &cached);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
+        for q in [queries::triangle(), queries::q1()] {
+            for enumerator in [EnumeratorKind::Recursive, EnumeratorKind::Stack] {
+                let run = |parallel_kernel: bool| {
+                    let device = Device::new(GpuConfig::default());
+                    let src = CachedSource { graph: &g, device: &device, dcsr: &dcsr };
+                    let cfg =
+                        EngineConfig { parallel_kernel, enumerator, ..EngineConfig::default() };
+                    let run = pool.install(|| run_gpu_kernel(&device, &src, &q, &applied, &cfg));
+                    (run, device.snapshot())
+                };
+                let (par, par_traffic) = run(true);
+                let (ser, ser_traffic) = run(false);
+                assert!(par_traffic.cache_hits > 0 && par_traffic.cache_misses > 0);
+                assert!(par.stats.matches != 0 && par.stats.list_accesses > 0);
+                assert_eq!(par.stats, ser.stats, "{} {enumerator:?}", q.name());
+                assert_eq!(par_traffic, ser_traffic, "{} {enumerator:?}", q.name());
+                assert!((par.imbalance - ser.imbalance).abs() < 1e-9);
+            }
+        }
     }
 }

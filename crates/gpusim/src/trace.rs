@@ -4,7 +4,8 @@
 //! this batch?". When enabled, the device appends one [`TraceEvent`] per
 //! transfer into a fixed-capacity ring (old events overwritten), which
 //! tests and tools can drain and assert on. Disabled (capacity 0) the cost
-//! is a single branch per access.
+//! is a single branch per access: the capacity lives outside the ring's
+//! mutex, so [`TraceRing::record`] returns before taking the lock.
 
 use parking_lot::Mutex;
 
@@ -25,6 +26,8 @@ pub enum TraceEvent {
 
 /// Fixed-capacity ring of events.
 pub struct TraceRing {
+    /// Immutable after construction; read without locking.
+    capacity: usize,
     inner: Mutex<RingInner>,
 }
 
@@ -39,6 +42,7 @@ impl TraceRing {
     /// Ring holding the last `capacity` events (0 = tracing disabled).
     pub fn new(capacity: usize) -> Self {
         Self {
+            capacity,
             inner: Mutex::new(RingInner {
                 buf: Vec::with_capacity(capacity),
                 head: 0,
@@ -49,17 +53,19 @@ impl TraceRing {
     }
 
     /// True if events are being recorded.
+    #[inline]
     pub fn enabled(&self) -> bool {
-        self.inner.lock().buf.capacity() > 0
+        self.capacity > 0
     }
 
     /// Record an event (no-op when disabled).
+    #[inline]
     pub fn record(&self, e: TraceEvent) {
-        let mut r = self.inner.lock();
-        let cap = r.buf.capacity();
-        if cap == 0 {
+        if !self.enabled() {
             return;
         }
+        let cap = self.capacity;
+        let mut r = self.inner.lock();
         r.total += 1;
         if r.buf.len() < cap {
             r.buf.push(e);
@@ -73,9 +79,12 @@ impl TraceRing {
 
     /// Drain the buffered events in arrival order and reset the ring.
     pub fn drain(&self) -> Vec<TraceEvent> {
+        if !self.enabled() {
+            return Vec::new();
+        }
+        let cap = self.capacity;
         let mut r = self.inner.lock();
-        let cap = r.buf.capacity();
-        if cap == 0 || r.buf.is_empty() {
+        if r.buf.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::with_capacity(r.buf.len());
@@ -161,5 +170,26 @@ mod tests {
         });
         assert_eq!(r.total_recorded(), 4000);
         assert_eq!(r.drain().len(), 128);
+    }
+
+    #[test]
+    fn disabled_ring_stays_empty_under_concurrent_recorders() {
+        let r = TraceRing::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let (r, start) = (&r, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for b in 0..1000usize {
+                        r.record(TraceEvent::ZeroCopy { bytes: t * 1000 + b });
+                        assert!(!r.enabled());
+                    }
+                });
+            }
+        });
+        assert_eq!(r.total_recorded(), 0);
+        assert!(r.drain().is_empty());
+        assert!(r.inner.lock().buf.is_empty());
     }
 }

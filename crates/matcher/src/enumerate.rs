@@ -10,7 +10,8 @@
 use crate::intersect::{filter_in_place, materialize, CostCounter, IntersectAlgo};
 use crate::source::NeighborSource;
 use crate::stats::MatchStats;
-use gcsm_graph::VertexId;
+use gcsm_graph::{NeighborView, VertexId};
+use gcsm_pattern::query::MAX_PATTERN;
 use gcsm_pattern::MatchPlan;
 
 /// Reusable per-thread buffers (candidate stacks and the binding vector).
@@ -158,26 +159,38 @@ pub fn gen_candidates<S: NeighborSource>(
     };
 
     // Access every constraint's view once per tree node (the paper's
-    // execution-tree access model), pick the smallest as the base set.
-    // lint:allow(hot-path-panic) -- c.pos < level == bound.len() by plan construction
-    let views: Vec<_> = lvl.constraints.iter().map(|c| src.view(bound[c.pos], c.view)).collect();
-    stats.list_accesses += views.len() as u64;
+    // execution-tree access model) and pick the first smallest as the base
+    // set in the same pass. A level has at most `MAX_PATTERN - 1` backward
+    // constraints, so the views fit a fixed array and a node allocates
+    // nothing.
+    debug_assert!(lvl.constraints.len() <= MAX_PATTERN, "plan level wider than a pattern");
+    let mut views: [Option<NeighborView<'_>>; MAX_PATTERN] = [None; MAX_PATTERN];
+    let (mut base, mut base_len, mut n_views) = (0usize, usize::MAX, 0usize);
+    for (slot, c) in views.iter_mut().zip(&lvl.constraints) {
+        // lint:allow(hot-path-panic) -- c.pos < level == bound.len() by plan construction
+        let view = src.view(bound[c.pos], c.view);
+        if view.raw_len() < base_len {
+            (base, base_len) = (n_views, view.raw_len());
+        }
+        *slot = Some(view);
+        n_views += 1;
+    }
+    stats.list_accesses += n_views as u64;
 
-    let Some((base, base_view)) = views.iter().enumerate().min_by_key(|(_, v)| v.raw_len()) else {
+    let Some(Some(base_view)) = views.get(base) else {
         debug_assert!(false, "plan level with no constraints");
         out.clear();
         return;
     };
     materialize(base_view, out, cost);
-    for (i, v) in views.iter().enumerate() {
-        if i != base {
-            filter_in_place(out, v, algo, cost);
-            if out.is_empty() {
-                break;
-            }
+    let others =
+        views.iter().enumerate().filter(|&(i, _)| i != base).filter_map(|(_, v)| v.as_ref());
+    for view in others {
+        filter_in_place(out, view, algo, cost);
+        if out.is_empty() {
+            break;
         }
     }
-    drop(views);
 
     // Injectivity + label + symmetry-breaking filters.
     out.retain(|&cand| {
