@@ -4,9 +4,11 @@
 //! Every GPU engine (GCSM, ZP, UM, VSGM, Naive) runs this exact function —
 //! the STMatch-adapted kernel of Sec. V-C — against a different
 //! [`gcsm_matcher::NeighborSource`]. The seed tasks (plan × batch edge ×
-//! orientation) map to thread blocks; rayon's work stealing stands in for
-//! STMatch's inter-block stealing. Compute is charged to the device as
-//! `gpu_ops`.
+//! orientation) map to thread blocks. STMatch balances skewed seeds with
+//! inter-block stealing; here the pool splits the task list into contiguous
+//! blocks (16 per pool thread) that threads claim dynamically, so threads
+//! that draw cheap blocks keep claiming while another works through a
+//! costly plan's seeds. Compute is charged to the device as `gpu_ops`.
 
 use crate::config::EngineConfig;
 use gcsm_gpusim::Device;

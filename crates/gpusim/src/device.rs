@@ -165,8 +165,9 @@ impl Device {
     // ------------------------------------------------------------------
 
     /// Launch a "kernel": run `f(i)` for every `i in 0..items` on the rayon
-    /// pool. Work items map to thread blocks; rayon's work stealing stands
-    /// in for STMatch's inter-block stealing. Charges one launch overhead.
+    /// pool. Work items map to thread blocks; the pool's threads claim
+    /// contiguous blocks of items dynamically, standing in for STMatch's
+    /// inter-block stealing. Charges one launch overhead.
     pub fn launch<F>(&self, items: usize, f: F)
     where
         F: Fn(usize) + Sync,

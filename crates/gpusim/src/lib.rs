@@ -24,9 +24,9 @@
 //! quantity the paper's experiments isolate.
 //!
 //! The kernel executor ([`Device::launch`]) stands in for the CUDA grid: it
-//! runs work items on a rayon pool (thread blocks → worker threads,
-//! work-stealing standing in for STMatch's inter-block stealing) and charges
-//! a per-launch overhead.
+//! runs work items on the resident rayon pool (thread blocks → worker
+//! threads, which claim contiguous blocks of items dynamically in place of
+//! STMatch's inter-block stealing) and charges a per-launch overhead.
 
 pub mod config;
 pub mod counters;
