@@ -347,6 +347,7 @@ fn run_sharded_mode(
         args.schedule.name()
     );
     let mut pipeline = ShardedPipeline::new(graph, query, args.partition, engines);
+    pipeline.set_overlap(args.overlap);
     let mut cumulative = 0i64;
     let mut total_ms = 0.0;
     let mut total_peer = 0u64;
@@ -367,6 +368,7 @@ fn run_sharded_mode(
             gcsm_bench::fmt_bytes(r.peer_bytes as f64),
         );
     }
+    pipeline.flush();
     let unit = if args.unique { "subgraphs" } else { "embeddings" };
     println!(
         "done: {} batches, net {cumulative:+} {unit}, {:.3} ms total simulated time, {} peer traffic",

@@ -43,6 +43,7 @@
 
 pub mod addr;
 pub mod config;
+mod driver;
 pub mod engines;
 pub mod kernel;
 pub mod khop;

@@ -2,52 +2,41 @@
 //!
 //! Production CSM deployments monitor many patterns at once (the paper's
 //! motivating scenarios — rumor shapes, laundering patterns — are query
-//! *sets*). Re-running the whole pipeline per query would repeat the graph
-//! update and reorganisation work; [`MultiPipeline`] shares steps 1 and 5
-//! of Fig. 3 across all registered queries and invokes each query's engine
-//! on the same sealed batch.
-//!
-//! The pipeline-level mechanisms of [`crate::Pipeline`] apply here too:
-//! [`MultiPipeline::set_overlap`] detaches the shared Step-5 reorganisation
-//! onto a worker thread while the next batch is ingested (charging only the
-//! exposed remainder), and each engine's own `EngineConfig` — including
-//! `delta_cache` — governs its matching invocation unchanged. Each query's
-//! invocation is traced as a `query` span (`level` = registration index).
+//! *sets*). [`MultiPipeline`] is the (query × shard) grid of the batch
+//! driver (DESIGN.md §15): one ingest, seal and reorganize per batch, then
+//! every query's engines on the same sealed batch, in registration order.
+//! [`MultiPipeline::partitioned`] splits each query's matching across
+//! shards (§12). Each query's invocation is traced as a `query` span
+//! (`level` = registration index).
 
+use crate::driver::{BatchDriver, Row};
 use crate::engines::Engine;
 use crate::result::BatchResult;
-use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate, ReorgResult};
+use crate::sharded::ShardedBatchResult;
+use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate};
 use gcsm_pattern::QueryGraph;
+use gcsm_shard::{PartitionPolicy, Partitioning};
 
-/// A registered query with its engine.
+/// A registered query with one engine per shard.
 struct Registered {
     query: QueryGraph,
-    engine: Box<dyn Engine>,
+    engines: Vec<Box<dyn Engine>>,
 }
 
-/// An in-flight overlapped reorganization of the previous batch.
-struct PendingReorg {
-    handle: std::thread::JoinHandle<ReorgResult>,
-    /// Modeled CPU seconds of the detached merge work; charged as the
-    /// exposed remainder once the next batch's ingest window is known.
-    sim_seconds: f64,
-}
-
-/// Pipeline over one dynamic graph and many (query, engine) pairs.
+/// Pipeline over one dynamic graph and a grid of (query, shard) engines.
 pub struct MultiPipeline {
-    graph: DynamicGraph,
+    driver: BatchDriver,
+    /// How matching work splits across shards; `None` for one shard.
+    part: Option<Partitioning>,
     queries: Vec<Registered>,
-    /// Batches processed so far; labels the `batch` spans in traces.
-    batches: u64,
-    /// Double-buffered mode: reorganize batch *k* while ingesting *k+1*.
-    overlap: bool,
-    pending: Option<PendingReorg>,
 }
 
 /// Per-query outcome of one batch.
 pub struct MultiBatchResult {
-    /// Query name → result, in registration order.
+    /// Query name → result merged across shards, in registration order.
     pub per_query: Vec<(String, BatchResult)>,
+    /// Each query's per-shard records, in registration then shard order.
+    pub per_shard: Vec<Vec<BatchResult>>,
 }
 
 impl MultiBatchResult {
@@ -64,46 +53,47 @@ impl MultiBatchResult {
 }
 
 impl MultiPipeline {
-    /// Pipeline over an initial snapshot.
+    /// Pipeline over an initial snapshot; every query runs on one engine.
     pub fn new(initial: CsrGraph) -> Self {
-        Self {
-            graph: DynamicGraph::from_csr(&initial),
-            queries: Vec::new(),
-            batches: 0,
-            overlap: false,
-            pending: None,
-        }
+        Self { driver: BatchDriver::new(&initial), part: None, queries: Vec::new() }
     }
 
-    /// Enable/disable overlapped reorganization for subsequent batches. An
-    /// already in-flight reorganization (if any) still joins normally on
-    /// the next batch or [`Self::flush`].
+    /// Pipeline over an initial snapshot whose vertices are partitioned
+    /// under `policy` into `shards` (at least 1) shards; register queries with
+    /// [`Self::register_sharded`].
+    pub fn partitioned(initial: CsrGraph, policy: PartitionPolicy, shards: usize) -> Self {
+        let part = Partitioning::compute(&initial, policy, shards);
+        Self { driver: BatchDriver::new(&initial), part: Some(part), queries: Vec::new() }
+    }
+
+    /// Enable/disable overlapped reorganization (see
+    /// [`crate::Pipeline::set_overlap`]).
     pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
+        self.driver.set_overlap(on);
     }
 
     /// Whether overlapped reorganization is enabled.
     pub fn overlap(&self) -> bool {
-        self.overlap
+        self.driver.overlap()
     }
 
-    /// Join and install an in-flight overlapped reorganization, if any.
-    /// Returns the modeled CPU seconds of the joined work that no later
-    /// batch will hide (0.0 when nothing was pending).
+    /// Join an in-flight overlapped reorganization and return its unhidden
+    /// modeled seconds (see [`crate::Pipeline::flush`]).
     pub fn flush(&mut self) -> f64 {
-        match self.pending.take() {
-            Some(p) => {
-                let res = p.handle.join().expect("reorganize worker panicked");
-                self.graph.install_reorg(res);
-                p.sim_seconds
-            }
-            None => 0.0,
-        }
+        self.driver.flush()
     }
 
-    /// Register a query with its own engine. Returns `self` for chaining.
-    pub fn register(mut self, query: QueryGraph, engine: Box<dyn Engine>) -> Self {
-        self.queries.push(Registered { query, engine });
+    /// Register a query with its own engine (one-shard pipelines). Returns
+    /// `self` for chaining.
+    pub fn register(self, query: QueryGraph, engine: Box<dyn Engine>) -> Self {
+        self.register_sharded(query, vec![engine])
+    }
+
+    /// Register a query with one engine per shard. Panics unless
+    /// `engines.len()` equals [`Self::num_shards`].
+    pub fn register_sharded(mut self, query: QueryGraph, engines: Vec<Box<dyn Engine>>) -> Self {
+        assert_eq!(engines.len(), self.num_shards(), "register one engine per shard");
+        self.queries.push(Registered { query, engines });
         self
     }
 
@@ -112,91 +102,56 @@ impl MultiPipeline {
         self.queries.len()
     }
 
+    /// Number of shards every query's matching splits across.
+    pub fn num_shards(&self) -> usize {
+        self.part.as_ref().map_or(1, Partitioning::num_shards)
+    }
+
+    /// The vertex partitioning, for pipelines built by [`Self::partitioned`].
+    pub(crate) fn partitioning(&self) -> Option<&Partitioning> {
+        self.part.as_ref()
+    }
+
+    /// The registered queries, in registration order.
+    pub(crate) fn queries(&self) -> impl Iterator<Item = &QueryGraph> {
+        self.queries.iter().map(|r| &r.query)
+    }
+
     /// The current graph.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.driver.graph()
+    }
+
+    /// Every registered query's from-scratch count on the current graph,
+    /// in registration order (see [`crate::Pipeline::static_count`]).
+    pub fn static_counts(&self, symmetry_break: bool) -> Vec<i64> {
+        self.queries().map(|q| self.driver.static_count(q, symmetry_break)).collect()
     }
 
     /// Process one batch for every registered query: one update, one
-    /// reorganisation, `k` matching invocations.
+    /// reorganisation, `Q × S` matching invocations.
     pub fn process_batch(&mut self, updates: &[EdgeUpdate]) -> MultiBatchResult {
-        let mut batch_span = gcsm_obs::span("batch", gcsm_obs::cat::PIPELINE);
-        batch_span.set_batch(self.batches);
-        batch_span.set_count(updates.len() as u64);
-        self.batches += 1;
-        // Step 1 (shared). With an overlapped reorganization in flight the
-        // updates are journaled (staged batch) and replay inside
-        // `seal_batch` after the merge result lands, as in `Pipeline`.
-        {
-            let _span = gcsm_obs::span("ingest", gcsm_obs::cat::PIPELINE);
-            if self.pending.is_some() {
-                self.graph.begin_staged_batch();
-            } else {
-                self.graph.begin_batch();
-            }
-            for &u in updates {
-                self.graph.apply(u);
-            }
-        }
-        let carried_sim = self.flush();
-        let summary = {
-            let _span = gcsm_obs::span("seal", gcsm_obs::cat::PIPELINE);
-            self.graph.seal_batch()
-        };
-        let cpu_bw =
-            self.queries.first().map(|r| r.engine.config().gpu.cpu_mem_bandwidth).unwrap_or(25.0e9);
-        let touched_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let update_sim = touched_bytes as f64 / cpu_bw;
-        // Exposed remainder of the joined overlapped work: only what its
-        // modeled cost exceeds the ingest window it hid behind.
-        let exposed_sim = (carried_sim - update_sim).max(0.0);
+        let rows = self.process_rows(updates);
+        let (per_query, per_shard) = self
+            .queries
+            .iter()
+            .zip(rows)
+            .map(|(reg, r)| ((reg.query.name().to_string(), r.merged), r.per_shard))
+            .unzip();
+        MultiBatchResult { per_query, per_shard }
+    }
 
-        // Steps 2–4 per query.
-        let mut per_query = Vec::with_capacity(self.queries.len());
-        for (idx, reg) in self.queries.iter_mut().enumerate() {
-            let mut q_span = gcsm_obs::span("query", gcsm_obs::cat::ENGINE);
-            q_span.set_batch(self.batches - 1);
-            q_span.set_level(idx as u32);
-            let mut r = reg.engine.match_sealed(&self.graph, &summary.applied, &reg.query);
-            // The shared update cost is attributed once, to the first query.
-            if per_query.is_empty() {
-                r.phases.update += update_sim;
-            }
-            per_query.push((reg.query.name().to_string(), r));
-        }
-
-        // Step 5 (shared).
-        let reorg_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let reorg_sim = 2.0 * reorg_bytes as f64 / cpu_bw;
-        let deferred = if self.overlap {
-            let task = self.graph.take_reorg_task();
-            if task.is_trivial() {
-                self.graph.install_reorg(task.compute());
-                false
-            } else {
-                let handle = std::thread::spawn(move || {
-                    let mut span = gcsm_obs::span("reorg_overlap", gcsm_obs::cat::GRAPH);
-                    let res = task.compute();
-                    span.set_count(res.len() as u64);
-                    res
-                });
-                self.pending = Some(PendingReorg { handle, sim_seconds: reorg_sim });
-                true
-            }
-        } else {
-            self.graph.reorganize();
-            false
-        };
-        if let Some((_, first)) = per_query.first_mut() {
-            first.phases.reorganize += exposed_sim + if deferred { 0.0 } else { reorg_sim };
-        }
-        drop(batch_span);
-        for (_, r) in &per_query {
-            crate::result::record_batch_metrics(r);
-        }
-        MultiBatchResult { per_query }
+    /// One batch through the driver: one merged record per query.
+    pub(crate) fn process_rows(&mut self, updates: &[EdgeUpdate]) -> Vec<ShardedBatchResult> {
+        let mut rows: Vec<Row<'_>> = self
+            .queries
+            .iter_mut()
+            .map(|r| Row {
+                query: &r.query,
+                shards: r.engines.iter_mut().map(|e| e.as_mut() as &mut dyn Engine).collect(),
+            })
+            .collect();
+        self.driver.drive_batch(updates, &mut rows, self.part.as_ref(), |_, _| {})
     }
 }
 

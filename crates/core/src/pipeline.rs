@@ -1,33 +1,17 @@
-//! The per-batch pipeline (Fig. 3): update → engine → reorganize.
+//! The single-device pipeline (Fig. 3): update → engine → reorganize.
 //!
-//! [`Pipeline`] owns the dynamic graph and the query, drives the batch
-//! lifecycle, and accounts the host-side steps (1 and 5) that are common
-//! to every engine: appending updates and reorganizing the updated lists.
-//!
-//! ## Overlap mode
-//!
-//! With [`Pipeline::set_overlap`] the Step-5 reorganization of batch *k*
-//! is detached ([`DynamicGraph::take_reorg_task`]) and computed on a worker
-//! thread while batch *k+1* is ingested (its updates journaled via the
-//! graph's staged-batch mode). The result is joined and installed just
-//! before batch *k+1* seals, so matching always sees fully merged lists.
-//! The simulated cost model charges only the *exposed remainder* of the
-//! overlapped work — `max(0, reorg_sim_k − update_sim_{k+1})` — at batch
-//! *k+1*; the rest hides behind the ingest window, which is the latency win
-//! the `cache_delta` bench measures.
+//! [`Pipeline`] is the 1 × 1 grid of the batch driver (DESIGN.md §15): it
+//! owns the dynamic graph and the query, borrows its engine on each call,
+//! and gets the engine's result back with the host steps (1 and 5)
+//! charged. With [`Pipeline::set_overlap`] Step 5 of batch *k* runs on a
+//! worker thread while batch *k+1* is ingested, and only its exposed
+//! remainder is charged (DESIGN.md §11).
 
+use crate::driver::{BatchDriver, Row};
 use crate::engines::Engine;
 use crate::result::BatchResult;
-use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate, ReorgResult};
+use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate};
 use gcsm_pattern::QueryGraph;
-
-/// An in-flight overlapped reorganization of the previous batch.
-struct PendingReorg {
-    handle: std::thread::JoinHandle<ReorgResult>,
-    /// Modeled CPU seconds of the detached merge work; charged as the
-    /// exposed remainder once the next batch's ingest window is known.
-    sim_seconds: f64,
-}
 
 /// Concrete signed matches: data-vertex bindings in plan order, with the
 /// +1/−1 sign of the delta edge that produced each.
@@ -35,42 +19,31 @@ pub type CollectedMatches = Vec<(Vec<gcsm_graph::VertexId>, i64)>;
 
 /// Drives one engine over a stream of batches.
 pub struct Pipeline {
-    graph: DynamicGraph,
+    driver: BatchDriver,
     query: QueryGraph,
-    /// Batches processed so far; labels the `batch` spans in traces.
-    batches: u64,
-    /// Double-buffered mode: reorganize batch *k* while ingesting *k+1*.
-    overlap: bool,
-    pending: Option<PendingReorg>,
 }
 
 impl Pipeline {
     /// Pipeline over an initial snapshot `G_0`.
     pub fn new(initial: CsrGraph, query: QueryGraph) -> Self {
-        Self {
-            graph: DynamicGraph::from_csr(&initial),
-            query,
-            batches: 0,
-            overlap: false,
-            pending: None,
-        }
+        Self { driver: BatchDriver::new(&initial), query }
     }
 
     /// Enable/disable overlapped reorganization for subsequent batches. An
     /// already in-flight reorganization (if any) still joins normally on
     /// the next batch or [`Self::flush`].
     pub fn set_overlap(&mut self, on: bool) {
-        self.overlap = on;
+        self.driver.set_overlap(on);
     }
 
     /// Whether overlapped reorganization is enabled.
     pub fn overlap(&self) -> bool {
-        self.overlap
+        self.driver.overlap()
     }
 
     /// The current graph state.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.driver.graph()
     }
 
     /// Join and install an in-flight overlapped reorganization, if any.
@@ -78,14 +51,7 @@ impl Pipeline {
     /// batch will hide (0.0 when nothing was pending). Call at stream end
     /// (or before inspecting `updated_vertices`) to settle the graph.
     pub fn flush(&mut self) -> f64 {
-        match self.pending.take() {
-            Some(p) => {
-                let res = p.handle.join().expect("reorganize worker panicked");
-                self.graph.install_reorg(res);
-                p.sim_seconds
-            }
-            None => 0.0,
-        }
+        self.driver.flush()
     }
 
     /// The query.
@@ -97,34 +63,13 @@ impl Pipeline {
     /// (parallel CPU WCOJ). Together with the streamed deltas this gives a
     /// consistent running total: `count(G_k) = count(G_0) + Σ ΔM`.
     pub fn static_count(&self, symmetry_break: bool) -> i64 {
-        let snapshot = self.graph.to_csr();
-        let src = gcsm_matcher::CsrSource::new(&snapshot);
-        let opts = gcsm_matcher::DriverOptions {
-            plan: gcsm_pattern::PlanOptions { symmetry_break },
-            parallel: true,
-            ..Default::default()
-        };
-        gcsm_matcher::match_static(&src, &self.query, &snapshot.edges().collect::<Vec<_>>(), &opts)
-            .matches
+        self.driver.static_count(&self.query, symmetry_break)
     }
 
     /// Single-edge update mode (the paper's Sec. II-A "single-edge
     /// setting"): one matching invocation per update.
     pub fn process_update(&mut self, engine: &mut dyn Engine, update: EdgeUpdate) -> BatchResult {
         self.process_batch(engine, std::slice::from_ref(&update))
-    }
-
-    /// Like [`Self::process_batch`], but also returns the concrete signed
-    /// matches (data-vertex bindings in plan order). The collection pass
-    /// runs on the host against the sealed views, so the engine's traffic
-    /// measurements are unaffected.
-    pub fn process_batch_collect(
-        &mut self,
-        engine: &mut dyn Engine,
-        updates: &[EdgeUpdate],
-    ) -> (BatchResult, CollectedMatches) {
-        let (result, collected) = self.run_batch(engine, updates, true);
-        (result, collected.unwrap_or_default())
     }
 
     /// Process one batch end to end. Returns the engine's measurements
@@ -134,109 +79,34 @@ impl Pipeline {
         engine: &mut dyn Engine,
         updates: &[EdgeUpdate],
     ) -> BatchResult {
-        self.run_batch(engine, updates, false).0
+        let mut rows = [Row { query: &self.query, shards: vec![engine] }];
+        self.driver.drive_batch(updates, &mut rows, None, |_, _| {}).swap_remove(0).merged
     }
 
-    /// The shared batch core behind [`Self::process_batch`] and
-    /// [`Self::process_batch_collect`]: both paths account identical
-    /// simulated phases *and* identical wall-clock steps.
-    fn run_batch(
+    /// Like [`Self::process_batch`], but also returns the concrete signed
+    /// matches (data-vertex bindings in plan order). The collection pass
+    /// runs on the host against the sealed views, so the engine's traffic
+    /// measurements and every accounted phase and wall step are unaffected.
+    pub fn process_batch_collect(
         &mut self,
         engine: &mut dyn Engine,
         updates: &[EdgeUpdate],
-        collect: bool,
-    ) -> (BatchResult, Option<CollectedMatches>) {
-        let cpu_bw = engine.config().gpu.cpu_mem_bandwidth;
-        let mut batch_span = gcsm_obs::span("batch", gcsm_obs::cat::PIPELINE);
-        batch_span.set_batch(self.batches);
-        batch_span.set_count(updates.len() as u64);
-        self.batches += 1;
-
-        // ---- Step 1: append ΔE to the CPU lists ----
-        // With an overlapped reorganization in flight the updates are
-        // journaled (staged batch); they replay inside `seal_batch` after
-        // the merge result lands.
-        let wall0 = gcsm_obs::Stopwatch::start();
-        {
-            let _span = gcsm_obs::span("ingest", gcsm_obs::cat::PIPELINE);
-            if self.pending.is_some() {
-                self.graph.begin_staged_batch();
-            } else {
-                self.graph.begin_batch();
-            }
-            for &u in updates {
-                self.graph.apply(u);
-            }
-        }
-        // Join the previous batch's overlapped reorganize before sealing so
-        // the journal replays against fully merged lists.
-        let carried_sim = self.flush();
-        let summary = {
-            let _span = gcsm_obs::span("seal", gcsm_obs::cat::PIPELINE);
-            self.graph.seal_batch()
-        };
-        // Model: one binary search + append per update endpoint; dominated
-        // by touching each updated list once.
-        let touched_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let update_sim = touched_bytes as f64 / cpu_bw;
-        // Exposed remainder of the joined overlapped work: only what its
-        // modeled cost exceeds the ingest window it hid behind.
-        let exposed_sim = (carried_sim - update_sim).max(0.0);
-        let update_wall = wall0.elapsed_seconds();
-
-        // ---- Steps 2–4: the engine ----
-        let mut result = engine.match_sealed(&self.graph, &summary.applied, &self.query);
-
-        let collected = if collect {
-            let src = gcsm_matcher::DynSource::new(&self.graph);
-            let opts =
-                gcsm_matcher::DriverOptions { plan: engine.config().plan, ..Default::default() };
-            let collected =
-                gcsm_matcher::collect_incremental(&src, &self.query, &summary.applied, &opts);
-            debug_assert_eq!(
-                collected.iter().map(|(_, s)| s).sum::<i64>(),
-                result.matches,
-                "collection pass must agree with the engine"
-            );
-            Some(collected)
-        } else {
-            None
-        };
-
-        // ---- Step 5: reorganize (after matching, per the paper) ----
-        let wall1 = gcsm_obs::Stopwatch::start();
-        let reorg_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        // Merge-sort + tombstone removal streams each updated list ~twice.
-        let reorg_sim = 2.0 * reorg_bytes as f64 / cpu_bw;
-        let deferred = if self.overlap {
-            let task = self.graph.take_reorg_task();
-            if task.is_trivial() {
-                // Nothing to merge (resurrection-only batch): settle inline.
-                self.graph.install_reorg(task.compute());
-                false
-            } else {
-                let handle = std::thread::spawn(move || {
-                    let mut span = gcsm_obs::span("reorg_overlap", gcsm_obs::cat::GRAPH);
-                    let res = task.compute();
-                    span.set_count(res.len() as u64);
-                    res
-                });
-                self.pending = Some(PendingReorg { handle, sim_seconds: reorg_sim });
-                true
-            }
-        } else {
-            self.graph.reorganize();
-            false
-        };
-        let reorg_wall = wall1.elapsed_seconds();
-
-        result.phases.update += update_sim;
-        result.phases.reorganize += exposed_sim + if deferred { 0.0 } else { reorg_sim };
-        result.wall_seconds += update_wall + reorg_wall;
-        drop(batch_span);
-        crate::result::record_batch_metrics(&result);
+    ) -> (BatchResult, CollectedMatches) {
+        let plan = engine.config().plan;
+        let query = &self.query;
+        let mut collected = Vec::new();
+        let mut rows = [Row { query, shards: vec![engine] }];
+        let mut out = self.driver.drive_batch(updates, &mut rows, None, |graph, applied| {
+            let src = gcsm_matcher::DynSource::new(graph);
+            let opts = gcsm_matcher::DriverOptions { plan, ..Default::default() };
+            collected = gcsm_matcher::collect_incremental(&src, query, applied, &opts);
+        });
+        let result = out.swap_remove(0).merged;
+        debug_assert_eq!(
+            collected.iter().map(|(_, s)| s).sum::<i64>(),
+            result.matches,
+            "collection pass must agree with the engine"
+        );
         (result, collected)
     }
 

@@ -1,46 +1,23 @@
 //! Multi-device sharded execution.
 //!
-//! [`ShardedPipeline`] generalizes [`crate::Pipeline`] to `N` simulated
-//! devices. The host still owns the single ground-truth [`DynamicGraph`]
-//! (steps 1 and 5 of Fig. 3 are CPU work and happen once — the paper's
-//! zero-copy story puts the sealed lists in pinned host memory, which every
-//! device can read). What is sharded is the *matching work*: the batch's
-//! `ΔE` is routed by `gcsm-shard` so each update's delta seeds are
-//! enumerated by exactly one shard — the owner of the update's canonical
-//! lower endpoint — making the summed per-shard `ΔM` bit-identical to the
-//! single-device pipeline (DESIGN.md §12).
-//!
-//! Cut updates (endpoint owners differ) are additionally mirrored to the
-//! non-counting owner so its replicated boundary lists stay current; each
-//! mirrored update is charged to that shard's peer link
-//! ([`gcsm_shard::PEER_UPDATE_BYTES`] per update via
-//! [`gcsm_gpusim::Device::peer_copy`]) and lands in the shard's `data_copy`
-//! phase, so partition quality is visible in simulated time, not just in
-//! counters.
-//!
-//! ## Merge semantics
-//!
-//! Counts (`ΔM`, matcher stats, traffic, bytes) are **sums** — the shards
-//! partition the work. Engine phases (`freq_est`, `data_copy`, `matching`)
-//! are **maxima** — the devices run concurrently, so the batch finishes
-//! when the slowest shard does. Host phases (`update`, `reorganize`) are
-//! charged once, exactly as in the single-device pipeline.
+//! [`ShardedPipeline`] is the 1 × `N` grid of the batch driver (DESIGN.md
+//! §15; [`crate::MultiPipeline::partitioned`] is the Q × `N` form). The
+//! host still owns the single ground-truth [`DynamicGraph`] (steps 1 and 5
+//! of Fig. 3 are CPU work and happen once — the paper's zero-copy story
+//! puts the sealed lists in pinned host memory, which every device can
+//! read). What is sharded is the *matching work*: `gcsm-shard` routes each
+//! update to exactly one counting shard, so the summed per-shard `ΔM` is
+//! bit-identical to the single-device pipeline, and mirrors cut updates
+//! over the peer link of the non-counting owner, charged to its
+//! `data_copy` phase (DESIGN.md §12).
 
 use crate::config::EngineConfig;
 use crate::engines::Engine;
+use crate::multi::MultiPipeline;
 use crate::result::BatchResult;
-use gcsm_gpusim::{imbalance_factor, makespan, Device, Scheduling, SimBreakdown};
 use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate};
 use gcsm_pattern::QueryGraph;
-use gcsm_shard::{route, PartitionPolicy, Partitioning};
-use rayon::prelude::*;
-
-/// One shard: an engine bound to its device's peer link.
-struct Shard {
-    engine: Box<dyn Engine>,
-    /// Models the inter-device link; replica mirrors are charged here.
-    link: Device,
-}
+use gcsm_shard::{PartitionPolicy, Partitioning};
 
 /// Outcome of one batch across all shards.
 #[derive(Clone, Debug)]
@@ -57,7 +34,8 @@ pub struct ShardedBatchResult {
     /// Achieved parallel engine time: the slowest shard's engine phases.
     pub makespan_seconds: f64,
     /// Modeled makespan of this batch's per-update costs re-assigned
-    /// across the shards under the configured [`Scheduling`] policy.
+    /// across the shards under the configured [`gcsm_gpusim::Scheduling`]
+    /// policy.
     pub assignment_makespan_seconds: f64,
     /// `assignment makespan / ideal` (≥ 1): how far the shard assignment
     /// is from perfect balance.
@@ -78,11 +56,7 @@ pub fn shard_config(base: &EngineConfig, num_shards: usize) -> EngineConfig {
 
 /// Drives `N` engines, one per shard, over a stream of batches.
 pub struct ShardedPipeline {
-    graph: DynamicGraph,
-    query: QueryGraph,
-    part: Partitioning,
-    shards: Vec<Shard>,
-    batches: u64,
+    grid: MultiPipeline,
 }
 
 impl ShardedPipeline {
@@ -95,207 +69,66 @@ impl ShardedPipeline {
         engines: Vec<Box<dyn Engine>>,
     ) -> Self {
         assert!(!engines.is_empty(), "sharded pipeline needs at least one engine");
-        let part = Partitioning::compute(&initial, policy, engines.len());
-        let shards = engines
-            .into_iter()
-            .map(|engine| {
-                let link = Device::new(engine.config().gpu);
-                Shard { engine, link }
-            })
-            .collect();
-        Self { graph: DynamicGraph::from_csr(&initial), query, part, shards, batches: 0 }
+        let grid = MultiPipeline::partitioned(initial, policy, engines.len());
+        Self { grid: grid.register_sharded(query, engines) }
+    }
+
+    /// Enable/disable overlapped reorganization (see
+    /// [`crate::Pipeline::set_overlap`]).
+    pub fn set_overlap(&mut self, on: bool) {
+        self.grid.set_overlap(on);
+    }
+
+    /// Join an in-flight overlapped reorganization and return its unhidden
+    /// modeled seconds (see [`crate::Pipeline::flush`]).
+    pub fn flush(&mut self) -> f64 {
+        self.grid.flush()
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.grid.num_shards()
     }
 
     /// The vertex partitioning in effect.
     pub fn partitioning(&self) -> &Partitioning {
-        &self.part
+        self.grid.partitioning().expect("built by MultiPipeline::partitioned")
     }
 
     /// The current graph state.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.grid.graph()
     }
 
     /// The query.
     pub fn query(&self) -> &QueryGraph {
-        &self.query
+        self.grid.queries().next().expect("registered in new")
     }
 
     /// Count the query's matches on the *current* graph from scratch (same
     /// ground truth as [`crate::Pipeline::static_count`]).
     pub fn static_count(&self, symmetry_break: bool) -> i64 {
-        let snapshot = self.graph.to_csr();
-        let src = gcsm_matcher::CsrSource::new(&snapshot);
-        let opts = gcsm_matcher::DriverOptions {
-            plan: gcsm_pattern::PlanOptions { symmetry_break },
-            parallel: true,
-            ..Default::default()
-        };
-        gcsm_matcher::match_static(&src, &self.query, &snapshot.edges().collect::<Vec<_>>(), &opts)
-            .matches
+        self.grid.static_counts(symmetry_break)[0]
     }
 
     /// Process one batch end to end across all shards.
     pub fn process_batch(&mut self, updates: &[EdgeUpdate]) -> ShardedBatchResult {
-        let wall = gcsm_obs::Stopwatch::start();
-        let cpu_bw = self.shards[0].engine.config().gpu.cpu_mem_bandwidth;
-        let scheduling = self.shards[0].engine.config().scheduling;
-        let mut batch_span = gcsm_obs::span("batch", gcsm_obs::cat::PIPELINE);
-        batch_span.set_batch(self.batches);
-        batch_span.set_count(updates.len() as u64);
-        let batch_idx = self.batches;
-        self.batches += 1;
-
-        // ---- Step 1 (host, once): append ΔE to the CPU lists ----
-        {
-            let _span = gcsm_obs::span("ingest", gcsm_obs::cat::PIPELINE);
-            self.graph.begin_batch();
-            for &u in updates {
-                self.graph.apply(u);
-            }
-        }
-        let summary = {
-            let _span = gcsm_obs::span("seal", gcsm_obs::cat::PIPELINE);
-            self.graph.seal_batch()
-        };
-        let touched_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let update_sim = touched_bytes as f64 / cpu_bw;
-
-        // ---- Route ΔE to its counting shards ----
-        let routed = {
-            let _span = gcsm_obs::span("route", gcsm_obs::cat::PIPELINE);
-            route(&summary.applied, &self.part)
-        };
-
-        // ---- Steps 2–4: every shard matches its subset, in parallel ----
-        let graph = &self.graph;
-        let query = &self.query;
-        let jobs: Vec<(usize, &[EdgeUpdate], u64)> = routed
-            .per_shard_match
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (i, a.as_slice(), routed.peer_bytes_to[i]))
-            .collect();
-        let per_shard: Vec<BatchResult> = self
-            .shards
-            .par_iter_mut()
-            .zip(jobs.into_par_iter())
-            .map(|(shard, (idx, assigned, peer_in))| {
-                let mut span = gcsm_obs::span("shard_match", gcsm_obs::cat::ENGINE);
-                span.set_batch(batch_idx);
-                span.set_shard(idx as u32);
-                span.set_count(assigned.len() as u64);
-                let mut r = shard.engine.match_sealed(graph, assigned, query);
-                // Mirror the cut updates this shard replicates but does not
-                // count: one batched peer transfer over its link, charged to
-                // the shard's data-copy phase like any other inbound bytes.
-                if peer_in > 0 {
-                    let before = shard.link.snapshot();
-                    shard.link.peer_copy(peer_in as usize);
-                    let interval = shard.link.snapshot() - before;
-                    let peer = SimBreakdown::from_traffic(&interval, &shard.engine.config().gpu);
-                    r.phases.data_copy += peer.peer;
-                    r.sim = r.sim + peer;
-                    r.traffic = r.traffic + interval;
-                }
-                r
-            })
-            .collect();
-
-        // ---- Merge ----
-        let engine_seconds =
-            |r: &BatchResult| r.phases.freq_est + r.phases.data_copy + r.phases.matching;
-        let makespan_seconds = per_shard.iter().map(engine_seconds).fold(0.0, f64::max);
-        let mut merged = BatchResult {
-            engine: format!("{}x{}", self.shards.len(), per_shard[0].engine),
-            ..Default::default()
-        };
-        for r in &per_shard {
-            merged.matches += r.matches;
-            merged.stats.merge(r.stats);
-            merged.traffic = merged.traffic + r.traffic;
-            merged.sim = merged.sim + r.sim;
-            merged.cpu_access_bytes += r.cpu_access_bytes;
-            merged.cached_bytes += r.cached_bytes;
-            merged.aux_bytes += r.aux_bytes;
-            merged.phases.freq_est = merged.phases.freq_est.max(r.phases.freq_est);
-            merged.phases.data_copy = merged.phases.data_copy.max(r.phases.data_copy);
-            merged.phases.matching = merged.phases.matching.max(r.phases.matching);
-        }
-        merged.cache_hit_rate = merged.traffic.cache_hit_rate();
-
-        // ---- Load-balance model: re-assign this batch's per-update costs
-        // across the shards under the configured scheduling policy ----
-        let (assignment_makespan_seconds, imbalance) =
-            self.assignment_makespan(&summary.applied, &per_shard, scheduling);
-
-        // ---- Step 5 (host, once): reorganize ----
-        let reorg_bytes: usize =
-            self.graph.updated_vertices().iter().map(|&v| self.graph.list_bytes(v)).sum();
-        let reorg_sim = 2.0 * reorg_bytes as f64 / cpu_bw;
-        self.graph.reorganize();
-
-        merged.phases.update += update_sim;
-        merged.phases.reorganize += reorg_sim;
-        merged.wall_seconds = wall.elapsed_seconds();
-        drop(batch_span);
-        crate::result::record_batch_metrics(&merged);
-
-        ShardedBatchResult {
-            merged,
-            per_shard,
-            peer_bytes: routed.peer_bytes(),
-            cut_updates: routed.cut_updates,
-            makespan_seconds,
-            assignment_makespan_seconds,
-            imbalance,
-        }
+        self.grid.process_rows(updates).swap_remove(0)
     }
 
-    /// Model the batch's per-update costs as schedulable tasks: each
-    /// shard's engine seconds spread uniformly over its assigned updates,
-    /// tasks listed in batch order, then scheduled onto `N` "blocks"
-    /// (devices) under `policy`. Returns `(makespan_seconds, imbalance)`.
-    fn assignment_makespan(
-        &self,
-        applied: &[EdgeUpdate],
-        per_shard: &[BatchResult],
-        policy: Scheduling,
-    ) -> (f64, f64) {
-        let engine_seconds =
-            |r: &BatchResult| r.phases.freq_est + r.phases.data_copy + r.phases.matching;
-        let counts: Vec<usize> = {
-            let mut c = vec![0usize; self.shards.len()];
-            for u in applied {
-                c[self.part.counting_shard(u)] += 1;
-            }
-            c
-        };
-        let per_update_ns: Vec<u64> = per_shard
-            .iter()
-            .zip(&counts)
-            .map(|(r, &c)| if c == 0 { 0 } else { (engine_seconds(r) * 1e9 / c as f64) as u64 })
-            .collect();
-        let task_costs: Vec<u64> =
-            applied.iter().map(|u| per_update_ns[self.part.counting_shard(u)]).collect();
-        let blocks = self.shards.len();
-        let ms = makespan(&task_costs, blocks, policy) as f64 * 1e-9;
-        let imb = imbalance_factor(&task_costs, blocks, policy);
-        (ms, imb)
-    }
-
-    /// Process a whole stream of batches, returning per-batch results.
+    /// Process a whole stream of batches, returning per-batch results. Any
+    /// overlapped reorganization left in flight is joined and its unhidden
+    /// cost charged to the last batch, as in [`crate::Pipeline`].
     pub fn process_stream<'a>(
         &mut self,
         batches: impl Iterator<Item = &'a [EdgeUpdate]>,
     ) -> Vec<ShardedBatchResult> {
-        batches.map(|b| self.process_batch(b)).collect()
+        let mut out: Vec<ShardedBatchResult> = batches.map(|b| self.process_batch(b)).collect();
+        let exposed = self.flush();
+        if let Some(last) = out.last_mut() {
+            last.merged.phases.reorganize += exposed;
+        }
+        out
     }
 }
 

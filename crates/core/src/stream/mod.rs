@@ -7,8 +7,11 @@
 //! ```text
 //!  producer ─┐                       ┌────────────────────────────────┐
 //!  producer ─┼─▶ bounded channel ──▶ │ worker: sequencer → coalescing │──▶ subscribers
-//!  producer ─┘   (backpressure)      │   window → seal → Pipeline     │    + final report
-//!                                    └────────────────────────────────┘
+//!  producer ─┘   (backpressure)      │   window → seal → processor    │    + final report
+//!                                    └───────────────┬────────────────┘
+//!                                                    ▼
+//!                      batch driver: ingest → seal → (query × shard) grid → reorganize
+//!                      (Pipeline 1×1, MultiPipeline Q×S; DESIGN.md §15)
 //! ```
 //!
 //! * **Admission & coalescing** — updates enter a window where duplicates

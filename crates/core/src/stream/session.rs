@@ -5,9 +5,10 @@
 //! bounded crossbeam channel; a single worker thread re-establishes the
 //! sequence order (explicit mode) or assigns it (arrival mode), drives the
 //! shared [`BatchBuilder`], and hands each sealed batch to the session's
-//! [`BatchProcessor`] — which owns the `Pipeline`/`MultiPipeline` and is
-//! therefore free of locks. Results fan out to subscribers and accumulate
-//! in the final [`SessionReport`].
+//! [`BatchProcessor`]. The processor owns a pipeline — a `Pipeline` or a
+//! `MultiPipeline` grid of queries × shards, both shells over the one
+//! batch driver (DESIGN.md §15) — and is therefore free of locks. Results
+//! fan out to subscribers and accumulate in the final [`SessionReport`].
 
 use super::builder::{BatchBuilder, SealPolicy, SealedBatch, StreamEvent};
 use crate::engines::Engine;
@@ -140,7 +141,8 @@ pub struct MultiStreamBatch {
     pub running_totals: Vec<(String, i64)>,
 }
 
-/// Drives a [`MultiPipeline`] with one ledger per registered query.
+/// Drives a [`MultiPipeline`] (any queries × shards grid) with one ledger
+/// per registered query.
 pub struct MultiProcessor {
     multi: MultiPipeline,
     ledgers: Vec<i64>,
@@ -156,6 +158,13 @@ impl MultiProcessor {
         );
         let ledgers = if bases.is_empty() { vec![0; multi.num_queries()] } else { bases };
         Self { multi, ledgers }
+    }
+
+    /// The pipeline back, with any in-flight overlapped reorganization
+    /// joined (see [`PipelineProcessor::into_pipeline`]).
+    pub fn into_multi(mut self) -> MultiPipeline {
+        self.multi.flush();
+        self.multi
     }
 }
 
@@ -193,6 +202,7 @@ pub struct SessionReport<Out> {
 
 /// Multi-producer handle. Cheap to clone; drop all clones (and call
 /// [`StreamSession::finish`]) to end the session.
+#[derive(Clone)]
 pub struct StreamProducer {
     tx: Sender<Envelope>,
     depth: Arc<AtomicUsize>,
@@ -200,19 +210,6 @@ pub struct StreamProducer {
     blocked: Arc<AtomicUsize>,
     mode: SequenceMode,
     backpressure: Backpressure,
-}
-
-impl Clone for StreamProducer {
-    fn clone(&self) -> Self {
-        Self {
-            tx: self.tx.clone(),
-            depth: Arc::clone(&self.depth),
-            dropped: Arc::clone(&self.dropped),
-            blocked: Arc::clone(&self.blocked),
-            mode: self.mode,
-            backpressure: self.backpressure,
-        }
-    }
 }
 
 impl StreamProducer {
@@ -312,14 +309,10 @@ impl StreamProducer {
 
 /// A live streaming session; see the module docs for the threading model.
 pub struct StreamSession<P: BatchProcessor> {
-    tx: Option<Sender<Envelope>>,
-    worker: Option<JoinHandle<(SessionReport<P::Out>, P)>>,
+    /// The handle every [`Self::producer`] clones; [`Self::finish`] drops it.
+    proto: StreamProducer,
+    worker: JoinHandle<(SessionReport<P::Out>, P)>,
     subscribers: Arc<Mutex<Vec<Sender<P::Out>>>>,
-    depth: Arc<AtomicUsize>,
-    dropped: Arc<AtomicU64>,
-    blocked: Arc<AtomicUsize>,
-    mode: SequenceMode,
-    backpressure: Backpressure,
 }
 
 impl<P: BatchProcessor + 'static> StreamSession<P> {
@@ -332,60 +325,49 @@ impl<P: BatchProcessor + 'static> StreamSession<P> {
             "DropNewest would leave holes in an explicit sequence; use Block"
         );
         let (tx, rx) = channel::bounded::<Envelope>(config.capacity.max(1));
-        let depth = Arc::new(AtomicUsize::new(0));
-        let dropped = Arc::new(AtomicU64::new(0));
-        let blocked = Arc::new(AtomicUsize::new(0));
+        let proto = StreamProducer {
+            tx,
+            depth: Arc::new(AtomicUsize::new(0)),
+            dropped: Arc::new(AtomicU64::new(0)),
+            blocked: Arc::new(AtomicUsize::new(0)),
+            mode: config.mode,
+            backpressure: config.backpressure,
+        };
         let subscribers: Arc<Mutex<Vec<Sender<P::Out>>>> = Arc::new(Mutex::new(Vec::new()));
         let worker = {
-            let depth = Arc::clone(&depth);
-            let dropped = Arc::clone(&dropped);
+            let depth = Arc::clone(&proto.depth);
+            let dropped = Arc::clone(&proto.dropped);
             let subscribers = Arc::clone(&subscribers);
             std::thread::spawn(move || {
                 run_worker(processor, rx, config, depth, dropped, subscribers)
             })
         };
-        Self {
-            tx: Some(tx),
-            worker: Some(worker),
-            subscribers,
-            depth,
-            dropped,
-            blocked,
-            mode: config.mode,
-            backpressure: config.backpressure,
-        }
+        Self { proto, worker, subscribers }
     }
 
     /// A new producer handle.
     pub fn producer(&self) -> StreamProducer {
-        StreamProducer {
-            tx: self.tx.as_ref().expect("session not finished").clone(),
-            depth: Arc::clone(&self.depth),
-            dropped: Arc::clone(&self.dropped),
-            blocked: Arc::clone(&self.blocked),
-            mode: self.mode,
-            backpressure: self.backpressure,
-        }
+        self.proto.clone()
     }
 
     /// Current ingest-queue depth (advisory point-in-time value).
     pub fn queue_depth(&self) -> usize {
         // Relaxed: advisory gauge; see the producer-side comments.
-        self.depth.load(Ordering::Relaxed)
+        self.proto.depth.load(Ordering::Relaxed)
     }
 
     /// Producers currently stalled on a full queue under
     /// [`Backpressure::Block`] (advisory point-in-time value).
     pub fn blocked_producers(&self) -> usize {
         // Relaxed: advisory gauge; see the producer-side comments.
-        self.blocked.load(Ordering::Relaxed)
+        self.proto.blocked.load(Ordering::Relaxed)
     }
 
     /// Updates dropped so far under [`Backpressure::DropNewest`].
     pub fn dropped_updates(&self) -> u64 {
         // Relaxed: monotonic statistics counter; an eventually-consistent
         // total is all callers need mid-session.
-        self.dropped.load(Ordering::Relaxed)
+        self.proto.dropped.load(Ordering::Relaxed)
     }
 
     /// Subscribe to per-batch outputs. Batches sealed before subscribing
@@ -400,14 +382,14 @@ impl<P: BatchProcessor + 'static> StreamSession<P> {
     /// outstanding producer handles to drop, drain in-flight events, seal
     /// the remaining window, and return the report plus the processor
     /// (with its pipeline state).
-    pub fn finish(mut self) -> (SessionReport<P::Out>, P) {
-        drop(self.tx.take());
-        let (mut report, processor) =
-            self.worker.take().expect("finish called once").join().expect("stream worker panicked");
+    pub fn finish(self) -> (SessionReport<P::Out>, P) {
+        let StreamProducer { tx, dropped, .. } = self.proto;
+        drop(tx);
+        let (mut report, processor) = self.worker.join().expect("stream worker panicked");
         // Relaxed: all producers have dropped and the worker has joined, so
         // the thread join already synchronizes; this read sees the final
         // value regardless of ordering.
-        report.dropped = self.dropped.load(Ordering::Relaxed);
+        report.dropped = dropped.load(Ordering::Relaxed);
         (report, processor)
     }
 }

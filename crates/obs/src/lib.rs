@@ -21,13 +21,16 @@
 //!
 //! # Span taxonomy
 //!
-//! Per batch: `batch` ⊃ { `ingest`, `seal`, `delta_build` ⊃ { `freq_est`,
-//! `data_copy` }, `matching` ⊃ { `dm_i` (one per delta-plan level),
-//! `merge` }, `reorganize` }. Stream mode adds `window` spans covering each
-//! batch's open-to-seal interval. Delta-cache mode nests a `cache_delta`
-//! span (resident diff + eviction) inside `delta_build`; overlapped
-//! pipelines replace `reorganize` with a `reorg_overlap` span emitted from
-//! the worker thread running the deferred merge.
+//! Per batch: `batch` ⊃ { `ingest`, `seal`, `query` (one per registered
+//! query) ⊃ { `delta_build` ⊃ { `freq_est`, `data_copy` }, `matching` ⊃
+//! { `dm_i` (one per delta-plan level), `merge` } }, `reorganize` }.
+//! Sharded pipelines add a `route` span after `seal` and run each shard's
+//! engine spans inside a `shard_match` span. Stream mode adds `window`
+//! spans covering each batch's open-to-seal interval. Delta-cache mode
+//! nests a `cache_delta` span (resident diff + eviction) inside
+//! `delta_build`; overlapped pipelines replace `reorganize` with a
+//! `reorg_overlap` span emitted from the worker thread running the
+//! deferred merge.
 
 pub mod clock;
 pub mod json;

@@ -166,3 +166,44 @@ proptest! {
         }
     }
 }
+
+/// Overlapped reorganize on a sharded pipeline: the deferred Step 5 hides
+/// behind the next batch's ingest, so per-batch ΔM, routing and the final
+/// graph equal the serial sharded run, and the modeled reorganize total
+/// never grows.
+#[test]
+fn overlapped_sharded_matches_serial_sharded() {
+    let base = rmat::generate(&rmat::RmatConfig::new(9, 10, 7));
+    let stream = UpdateStream::generate(&base, StreamConfig::Fraction(0.3), 31);
+    let batches: Vec<&[EdgeUpdate]> = stream.updates.chunks(128).collect();
+    let q = queries::triangle();
+    let cfg = shard_config(&EngineConfig::with_cache_budget(stream.initial.adjacency_bytes()), 2);
+    let build = |overlap: bool| {
+        let engines = (0..2).map(|_| make_engine(EngineKind::Gcsm, cfg.clone())).collect();
+        let mut p = ShardedPipeline::new(
+            stream.initial.clone(),
+            q.clone(),
+            PartitionPolicy::HashSrc,
+            engines,
+        );
+        p.set_overlap(overlap);
+        p
+    };
+    let (mut serial, mut overlapped) = (build(false), build(true));
+    let (mut serial_reorg, mut overlap_reorg) = (0.0, 0.0);
+    for b in &batches {
+        let rs = serial.process_batch(b);
+        let ro = overlapped.process_batch(b);
+        assert_eq!(ro.merged.matches, rs.merged.matches, "ΔM diverges under overlap");
+        assert_eq!((ro.peer_bytes, ro.cut_updates), (rs.peer_bytes, rs.cut_updates));
+        serial_reorg += rs.merged.phases.reorganize;
+        overlap_reorg += ro.merged.phases.reorganize;
+    }
+    overlap_reorg += overlapped.flush();
+    assert!(overlapped.graph().updated_vertices().is_empty());
+    let a: Vec<_> = serial.graph().to_csr().edges().collect();
+    let b: Vec<_> = overlapped.graph().to_csr().edges().collect();
+    assert_eq!(a, b, "final graphs must agree");
+    assert_eq!(overlapped.static_count(false), serial.static_count(false));
+    assert!(overlap_reorg <= serial_reorg + 1e-12, "{overlap_reorg} > {serial_reorg}");
+}

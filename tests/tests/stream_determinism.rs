@@ -172,3 +172,74 @@ fn arrival_mode_keeps_ledger_consistent() {
     let final_total = report.batches.last().map(|b| b.running_total).unwrap_or(base);
     assert_eq!(final_total, processor.into_pipeline().static_count(false));
 }
+
+/// `spawn_multi` over a 2-query × 2-shard grid with overlapped reorganize:
+/// two producers striping an explicit sequence reproduce the serial
+/// replay's batch boundaries and per-query ΔM, and every query's final
+/// ledger equals a from-scratch recount of the session's graph.
+#[test]
+fn multi_query_sharded_session_equals_serial_replay() {
+    let (w, events) = sequenced_events(80);
+    let rc = RunConfig { scale: 0.0625, ..Default::default() };
+    let cfg = gcsm::shard_config(&rc.engine_config(&w), 2);
+    let grid = || {
+        let mut m = gcsm::MultiPipeline::partitioned(
+            w.initial.clone(),
+            gcsm_shard::PartitionPolicy::HashSrc,
+            2,
+        );
+        for q in [queries::triangle(), queries::q1()] {
+            let engines = (0..2).map(|_| make_engine(EngineKind::Gcsm, cfg.clone())).collect();
+            m = m.register_sharded(q, engines);
+        }
+        m.set_overlap(true);
+        m
+    };
+    let policy = SealPolicy::SizeOrTick(56);
+    let deltas = |per_query: &[(String, gcsm::BatchResult)]| -> Vec<i64> {
+        per_query.iter().map(|(_, r)| r.matches).collect()
+    };
+
+    let mut serial = grid();
+    let reference = replay_serial(&events, policy, |sealed| {
+        let r = serial.process_batch(&sealed.updates);
+        (sealed.updates.clone(), deltas(&r.per_query))
+    });
+    assert!(reference.len() > 2, "degenerate reference");
+
+    let multi = grid();
+    let bases = multi.static_counts(false);
+    let session = gcsm::stream::spawn_multi(
+        multi,
+        bases,
+        StreamConfig {
+            seal_policy: policy,
+            capacity: 256,
+            backpressure: Backpressure::Block,
+            mode: SequenceMode::Explicit,
+        },
+    );
+    std::thread::scope(|s| {
+        for p in 0..2 {
+            let producer = session.producer();
+            let events = &events;
+            s.spawn(move || {
+                for &(seq, ev) in events.iter().skip(p).step_by(2) {
+                    match ev {
+                        StreamEvent::Update(u) => producer.ingest_at(seq, u),
+                        StreamEvent::Tick => producer.tick_at(seq),
+                    };
+                }
+            });
+        }
+    });
+    let (report, processor) = session.finish();
+    let got: Vec<(Vec<EdgeUpdate>, Vec<i64>)> =
+        report.batches.iter().map(|b| (b.updates.clone(), deltas(&b.per_query))).collect();
+    assert_eq!(got, reference, "session diverged from the serial replay");
+
+    let recount = processor.into_multi().static_counts(false);
+    let last = report.batches.last().expect("batches sealed");
+    let ledgers: Vec<i64> = last.running_totals.iter().map(|(_, t)| *t).collect();
+    assert_eq!(ledgers, recount, "ledger drifted from the recount");
+}
