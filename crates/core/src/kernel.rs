@@ -134,28 +134,34 @@ pub fn run_gpu_kernel_static<S: NeighborSource>(
 ) -> KernelRun {
     let plan = gcsm_pattern::compile_static(q, cfg.plan);
     device.traffic().add_kernel_launches(1);
-    let per_task: Vec<(MatchStats, u64)> = edges
-        .par_iter()
-        .map_init(
-            || (Scratch::default(), StackScratch::default()),
-            |(rs, ss), &(u, v)| {
-                let mut acc = MatchStats::default();
-                for (a, b) in [(u, v), (v, u)] {
-                    let s = match cfg.enumerator {
-                        EnumeratorKind::Recursive => {
-                            match_from_seed(src, &plan, a, b, 1, cfg.algo, rs, &mut |_, _| {})
-                        }
-                        EnumeratorKind::Stack => {
-                            match_from_seed_stack(src, &plan, a, b, 1, cfg.algo, ss, &mut |_, _| {})
-                        }
-                    };
-                    acc.merge(s);
+    let run_edge = |rs: &mut Scratch, ss: &mut StackScratch, u, v| {
+        let mut acc = MatchStats::default();
+        for (a, b) in [(u, v), (v, u)] {
+            let s = match cfg.enumerator {
+                EnumeratorKind::Recursive => {
+                    match_from_seed(src, &plan, a, b, 1, cfg.algo, rs, &mut |_, _| {})
                 }
-                let cost = acc.intersect_ops + acc.list_accesses;
-                (acc, cost)
-            },
-        )
-        .collect();
+                EnumeratorKind::Stack => {
+                    match_from_seed_stack(src, &plan, a, b, 1, cfg.algo, ss, &mut |_, _| {})
+                }
+            };
+            acc.merge(s);
+        }
+        let cost = acc.intersect_ops + acc.list_accesses;
+        (acc, cost)
+    };
+    let per_task: Vec<(MatchStats, u64)> = if cfg.parallel_kernel {
+        edges
+            .par_iter()
+            .map_init(
+                || (Scratch::default(), StackScratch::default()),
+                |(rs, ss), &(u, v)| run_edge(rs, ss, u, v),
+            )
+            .collect()
+    } else {
+        let (mut rs, mut ss) = (Scratch::default(), StackScratch::default());
+        edges.iter().map(|&(u, v)| run_edge(&mut rs, &mut ss, u, v)).collect()
+    };
     let costs: Vec<u64> = per_task.iter().map(|(_, c)| *c).collect();
     let imbalance = gcsm_gpusim::imbalance_factor(&costs, cfg.gpu.num_blocks, cfg.scheduling);
     let stats = per_task.into_iter().map(|(s, _)| s).sum::<MatchStats>();
@@ -251,6 +257,72 @@ mod tests {
                 let (ser, ser_traffic) = run(false);
                 assert!(par_traffic.cache_hits > 0 && par_traffic.cache_misses > 0);
                 assert!(par.stats.matches != 0 && par.stats.list_accesses > 0);
+                assert_eq!(par.stats, ser.stats, "{} {enumerator:?}", q.name());
+                assert_eq!(par_traffic, ser_traffic, "{} {enumerator:?}", q.name());
+                assert!((par.imbalance - ser.imbalance).abs() < 1e-9);
+            }
+        }
+    }
+
+    /// Forwards to `inner`, recording which threads read neighbor lists.
+    struct ThreadRecorder<'a, S> {
+        inner: &'a S,
+        threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl<S: NeighborSource> NeighborSource for ThreadRecorder<'_, S> {
+        fn view(
+            &self,
+            v: gcsm_graph::VertexId,
+            sel: gcsm_pattern::ViewSel,
+        ) -> gcsm_graph::NeighborView<'_> {
+            self.threads.lock().expect("recorder").insert(std::thread::current().id());
+            self.inner.view(v, sel)
+        }
+        fn label(&self, v: gcsm_graph::VertexId) -> gcsm_graph::Label {
+            self.inner.label(v)
+        }
+        fn num_vertices(&self) -> usize {
+            self.inner.num_vertices()
+        }
+        fn max_degree(&self) -> usize {
+            self.inner.max_degree()
+        }
+    }
+
+    #[test]
+    fn static_kernel_serial_and_parallel_agree() {
+        use gcsm_cache::Dcsr;
+        let (g, _) = sealed_random_graph();
+        let cached: Vec<u32> = (0..g.num_vertices() as u32).step_by(3).collect();
+        let dcsr = Dcsr::pack(&g, &cached);
+        let edges: Vec<_> = (0..g.num_vertices() as u32)
+            .flat_map(|u| g.new_view(u).to_vec().into_iter().map(move |v| (u, v)))
+            .filter(|&(u, v)| u < v)
+            .collect();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
+        for q in [queries::triangle(), queries::q1()] {
+            for enumerator in [EnumeratorKind::Recursive, EnumeratorKind::Stack] {
+                let run = |parallel_kernel: bool| {
+                    let device = Device::new(GpuConfig::default());
+                    let cached = CachedSource { graph: &g, device: &device, dcsr: &dcsr };
+                    let src = ThreadRecorder { inner: &cached, threads: Default::default() };
+                    let cfg =
+                        EngineConfig { parallel_kernel, enumerator, ..EngineConfig::default() };
+                    let run =
+                        pool.install(|| run_gpu_kernel_static(&device, &src, &q, &edges, &cfg));
+                    let threads = src.threads.into_inner().expect("recorder");
+                    (run, device.snapshot(), threads)
+                };
+                let (par, par_traffic, _) = run(true);
+                let (ser, ser_traffic, ser_threads) = run(false);
+                // A serial run never leaves the calling thread.
+                assert_eq!(
+                    ser_threads.into_iter().collect::<Vec<_>>(),
+                    [std::thread::current().id()]
+                );
+                assert!(par_traffic.cache_hits > 0 && par_traffic.cache_misses > 0);
+                assert!(par.stats.matches > 0);
                 assert_eq!(par.stats, ser.stats, "{} {enumerator:?}", q.name());
                 assert_eq!(par_traffic, ser_traffic, "{} {enumerator:?}", q.name());
                 assert!((par.imbalance - ser.imbalance).abs() < 1e-9);

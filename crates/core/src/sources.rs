@@ -9,8 +9,10 @@
 //! * [`UnifiedSource`] — the UM baseline: lists live in managed memory,
 //!   reads fault 4 KiB pages through the device page cache;
 //! * [`CachedSource`] — GCSM (and VSGM/Naive, which differ only in *what*
-//!   is cached): binary-search the DCSR `rowidx`; hits read device memory,
-//!   misses fall back to zero-copy (Sec. V-C).
+//!   is cached): look the vertex up in the DCSR; hits read device memory,
+//!   misses fall back to zero-copy (Sec. V-C). The device charge is the
+//!   kernel's binary search of `rowidx` (`log2(len)` ops); the host reads
+//!   the row from [`Dcsr::find`]'s index in one load.
 
 use crate::addr::AddrMap;
 use gcsm_cache::Dcsr;
@@ -109,7 +111,8 @@ impl NeighborSource for CachedSource<'_> {
     #[inline]
     fn view(&self, v: VertexId, sel: ViewSel) -> NeighborView<'_> {
         // The per-access rowidx binary search the kernel performs
-        // (Sec. V-C); charged as device compute.
+        // (Sec. V-C); charged as device compute. `find` itself is an O(1)
+        // host index read with the same result.
         let lookup_ops = (usize::BITS - self.dcsr.len().max(1).leading_zeros()) as u64;
         self.device.gpu_ops(lookup_ops);
         match self.dcsr.find(v) {

@@ -5,12 +5,29 @@
 //! `lock xadd`s on the same cache lines; instead [`Traffic`] keeps a fixed
 //! array of cache-line-aligned *stripes*, one full counter set each, and a
 //! thread adds only to its own stripe. Reads sum the stripes.
+//!
+//! **Leases.** Stripe ids `0..EXCLUSIVE` are leased, one per thread, from a
+//! process-wide pool the first time a thread adds to any `Traffic`. The
+//! lease lasts for the thread's lifetime and is released by a thread-local
+//! destructor, so a thread that exits frees its id for a new thread. A
+//! leaseholder is the only writer of its stripe in every `Traffic`, so its
+//! add is a relaxed load plus a relaxed store — no `lock`-prefixed
+//! instruction. Threads that find every id leased (more live threads than
+//! exclusive stripes), and adds made after a thread's lease was dropped
+//! during thread exit, go to the one shared *overflow* stripe, which keeps
+//! an atomic `fetch_add`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of counter stripes. Threads beyond this share stripes (adds stay
-/// atomic, so sharing costs contention, never counts).
-const STRIPES: usize = 16;
+/// Number of counter stripes: `EXCLUSIVE` leased ones plus the overflow
+/// stripe.
+const STRIPES: usize = 32;
+
+/// Stripes handed out as exclusive per-thread leases.
+const EXCLUSIVE: usize = STRIPES - 1;
+
+/// The shared stripe of threads without a lease (atomic adds).
+const OVERFLOW: usize = EXCLUSIVE;
 
 /// Counters per stripe (the fields of [`TrafficSnapshot`]).
 const FIELDS: usize = 15;
@@ -21,23 +38,75 @@ const FIELDS: usize = 15;
 #[repr(align(128))]
 struct Stripe([AtomicU64; FIELDS]);
 
-/// Round-robin source of stripe ids for new threads.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+/// A pool of exclusive stripe ids: bit `i` of `taken` is set while some
+/// thread holds id `i`.
+struct Leases {
+    taken: AtomicU64,
+}
+
+impl Leases {
+    const fn new() -> Self {
+        Self { taken: AtomicU64::new(0) }
+    }
+
+    /// Claim the lowest free id, or `None` when all `EXCLUSIVE` are taken.
+    /// Acquire pairs with the Release in [`Lease::drop`]: the previous
+    /// holder's stores to the stripe happen-before the new holder's loads,
+    /// so a reused stripe continues from its exact value.
+    fn acquire(&'static self) -> Lease {
+        let mut taken = self.taken.load(Ordering::Acquire);
+        let id = loop {
+            let id = taken.trailing_ones() as usize;
+            if id >= EXCLUSIVE {
+                break None;
+            }
+            match self.taken.compare_exchange_weak(
+                taken,
+                taken | 1 << id,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break Some(id),
+                Err(now) => taken = now,
+            }
+        };
+        Lease { pool: self, id }
+    }
+}
+
+/// One thread's claim on an exclusive stripe id (`None`: use the overflow
+/// stripe). Dropping it returns the id to its pool.
+struct Lease {
+    pool: &'static Leases,
+    id: Option<usize>,
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        if let Some(id) = self.id {
+            self.pool.taken.fetch_and(!(1 << id), Ordering::Release);
+        }
+    }
+}
+
+/// The process-wide lease pool behind every [`Traffic`].
+static LEASES: Leases = Leases::new();
 
 thread_local! {
-    // Relaxed: the id only spreads threads over stripes; any value is
-    // correct because every add is atomic.
-    static STRIPE_ID: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    static LEASE: Lease = LEASES.acquire();
 }
 
 /// Relaxed-ordering accumulators for every cost source in the model,
 /// striped per thread. The counters are only aggregates (no inter-counter
-/// invariants are read mid-run), so `Relaxed` is sufficient; an add is one
-/// uncontended `lock xadd` on the calling thread's stripe.
+/// invariants are read mid-run), so `Relaxed` is sufficient. An add by a
+/// thread holding a lease is a plain load and store on its own stripe; a
+/// thread without one adds atomically to the overflow stripe.
 ///
 /// [`Traffic::snapshot`] is exact for every add that happens-before it —
 /// in particular for all adds made by workers the caller has joined (a
 /// scoped-thread or rayon join synchronizes with the workers' completion).
+/// [`Traffic::reset`] must likewise not race with adds: a leaseholder's
+/// add in flight could store a pre-reset sum back.
 #[derive(Default)]
 pub struct Traffic {
     stripes: [Stripe; STRIPES],
@@ -52,11 +121,31 @@ impl std::fmt::Debug for Traffic {
 impl Traffic {
     #[inline]
     fn add(&self, field: usize, n: u64) {
-        let stripe = STRIPE_ID.with(|&id| id);
-        if let Some(counter) = self.stripes.get(stripe).and_then(|s| s.0.get(field)) {
-            // Relaxed: an aggregate; readers synchronize through a join.
-            counter.fetch_add(n, Ordering::Relaxed);
+        // `try_with` fails only while this thread's lease is being torn
+        // down (an add from another thread-local destructor).
+        match LEASE.try_with(|lease| lease.id) {
+            Ok(Some(id)) => {
+                if let Some(counter) = self.counter(id, field) {
+                    // Relaxed: the leaseholder is this stripe's only
+                    // writer, so load + store loses nothing; readers
+                    // synchronize through a join.
+                    counter
+                        .store(counter.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+                }
+            }
+            _ => {
+                if let Some(counter) = self.counter(OVERFLOW, field) {
+                    // Relaxed: an aggregate; readers synchronize through a
+                    // join.
+                    counter.fetch_add(n, Ordering::Relaxed);
+                }
+            }
         }
+    }
+
+    #[inline]
+    fn counter(&self, stripe: usize, field: usize) -> Option<&AtomicU64> {
+        self.stripes.get(stripe).and_then(|s| s.0.get(field))
     }
 
     /// Sum of one counter over all stripes.
@@ -401,5 +490,140 @@ mod tests {
         assert_eq!(std::mem::align_of::<Stripe>(), 128);
         assert_eq!(std::mem::size_of::<Stripe>(), 128);
         assert_eq!(std::mem::size_of::<Traffic>(), STRIPES * 128);
+    }
+
+    /// Lease pool private to `exiting_threads_free_their_leases`, so the
+    /// other tests' threads cannot hold its ids.
+    static TEST_POOL: Leases = Leases::new();
+
+    thread_local! {
+        static TEST_LEASE: Lease = TEST_POOL.acquire();
+    }
+
+    /// Run `f(i)` on `n` threads that are all live at once, join each
+    /// handle explicitly (so thread-local destructors have run), and return
+    /// the results in spawn order.
+    fn on_live_threads<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let all_live = std::sync::Barrier::new(n);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let (f, all_live) = (&f, &all_live);
+                    s.spawn(move || {
+                        let out = f(i);
+                        all_live.wait();
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        })
+    }
+
+    #[test]
+    fn exiting_threads_free_their_leases() {
+        for _generation in 0..3 {
+            // More live threads than ids: every id is handed out once, the
+            // rest get none.
+            let mut ids = on_live_threads(EXCLUSIVE + 4, |_| TEST_LEASE.with(|l| l.id));
+            ids.sort_unstable();
+            let (none, some) = ids.split_at(4);
+            assert!(none.iter().all(Option::is_none));
+            assert_eq!(some, (0..EXCLUSIVE).map(Some).collect::<Vec<_>>().as_slice());
+            // Every thread exited, so every id is free again.
+            assert_eq!(TEST_POOL.taken.load(Ordering::Acquire), 0);
+        }
+        // One thread at a time: each reuses the id its predecessor freed.
+        for _ in 0..2 * EXCLUSIVE {
+            let id = std::thread::spawn(|| TEST_LEASE.with(|l| l.id)).join().expect("worker");
+            assert_eq!(id, Some(0));
+        }
+    }
+
+    #[test]
+    fn threads_without_a_lease_spill_exactly_to_the_overflow_stripe() {
+        let t = Traffic::default();
+        let threads = EXCLUSIVE + 9;
+        // Each thread takes its lease (or none) before any thread exits, so
+        // the leased ids are distinct.
+        let took = std::sync::Barrier::new(threads);
+        let ids = on_live_threads(threads, |i| {
+            t.add_gpu_ops(0);
+            took.wait();
+            for _ in 0..1_000 {
+                add_all(&t, i as u64 + 1);
+            }
+            LEASE.with(|l| l.id)
+        });
+        let spilled: Vec<u64> =
+            ids.iter().zip(1u64..).filter(|(id, _)| id.is_none()).map(|(_, k)| k).collect();
+        assert!(spilled.len() >= threads - EXCLUSIVE, "at most EXCLUSIVE leases exist");
+        let field =
+            |stripe: usize| t.stripes[stripe].0.each_ref().map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(field(OVERFLOW), [1_000 * spilled.iter().sum::<u64>(); FIELDS]);
+        for (id, k) in ids.iter().zip(1u64..) {
+            if let Some(id) = *id {
+                assert_eq!(field(id), [1_000 * k; FIELDS], "stripe {id}");
+            }
+        }
+        let total = 1_000 * (1..=threads as u64).sum::<u64>();
+        assert!(t.snapshot().named_fields().iter().all(|&(_, v)| v == total));
+    }
+
+    #[test]
+    fn generations_of_threads_snapshot_exactly() {
+        let t = Traffic::default();
+        let mut expect = 0;
+        for generation in 1..=3u64 {
+            on_live_threads(40, |i| {
+                for _ in 0..500 {
+                    add_all(&t, generation * (i as u64 + 1));
+                }
+            });
+            expect += 500 * generation * (1..=40).sum::<u64>();
+            for (name, v) in t.snapshot().named_fields() {
+                assert_eq!(v, expect, "{name} after generation {generation}");
+            }
+        }
+    }
+
+    /// Adds once to its `Traffic` when the thread's locals are torn down,
+    /// recording whether the thread's lease was already gone.
+    struct AddOnExit(std::cell::Cell<Option<&'static Traffic>>);
+
+    /// Adds made by `AddOnExit` after the lease was dropped.
+    static ADDS_WITHOUT_LEASE: AtomicU64 = AtomicU64::new(0);
+
+    impl Drop for AddOnExit {
+        fn drop(&mut self) {
+            if let Some(t) = self.0.get() {
+                if LEASE.try_with(|_| ()).is_err() {
+                    ADDS_WITHOUT_LEASE.fetch_add(1, Ordering::Relaxed);
+                }
+                t.add_gpu_ops(1);
+            }
+        }
+    }
+
+    thread_local! {
+        static ON_EXIT: AddOnExit = const { AddOnExit(std::cell::Cell::new(None)) };
+    }
+
+    #[test]
+    fn adds_during_thread_exit_are_counted() {
+        let t: &'static Traffic = Box::leak(Box::default());
+        for _ in 0..8 {
+            std::thread::spawn(move || {
+                // Registered before the lease, so (on platforms that tear
+                // thread locals down in reverse order) dropped after it.
+                ON_EXIT.with(|e| e.0.set(Some(t)));
+                t.add_gpu_ops(1);
+            })
+            .join()
+            .expect("worker panicked");
+        }
+        assert_eq!(t.snapshot().gpu_ops, 16);
+        let overflow = t.stripes[OVERFLOW].0[8].load(Ordering::Relaxed);
+        assert!(overflow >= ADDS_WITHOUT_LEASE.load(Ordering::Relaxed));
     }
 }

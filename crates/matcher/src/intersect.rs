@@ -4,28 +4,45 @@
 //! against a neighbor view (one or two sorted runs — see
 //! [`gcsm_graph::NeighborView`]). [`filter_in_place`] narrows the buffer
 //! inside its own allocation: a write cursor compacts the survivors toward
-//! the front while one seek cursor per run walks the view's prefix and tail
-//! together, so a join step never allocates. The kernels differ only in how
-//! a run cursor seeks forward to the next candidate:
+//! the front, so a join step never allocates. The kernels:
 //!
-//! * **merge** — classic two-finger step, `O(|a| + |b|)`;
+//! * **merge** — classic two-finger scan, `O(|a| + |b|)`. On a single-run
+//!   view (old view, tail-less new view, plain list) it is branch-free:
+//!   every step writes the candidate at the write cursor unconditionally
+//!   and advances the write cursor, the candidate cursor and the list
+//!   cursor by comparison results, so a 1:1 intersection pays no
+//!   mispredicted branches;
 //! * **gallop** — exponential then binary search from the cursor,
 //!   `O(|a| log(|b| / |a|))`, the right choice when the candidate buffer is
 //!   much smaller than the list;
 //! * **blocked** — skip whole 4-entry blocks before stepping, mirroring
 //!   STMatch's "unrolled set intersection with SIMD parallelism" (Sec. V-C).
 //!
-//! [`IntersectAlgo::Auto`] picks gallop when `32·|a| < |b|` (the standard
-//! crossover) and blocked otherwise. All kernels return the same result and
-//! charge the same *model* cost metric through [`CostCounter`], so engine
-//! comparisons never depend on kernel choice — the kernels exist for the
-//! wall-clock ablation bench.
+//! On a two-run view (prefix + appended tail) every kernel keeps one seek
+//! cursor per run, walking both runs together; the kernels differ only in
+//! how a cursor seeks forward.
+//!
+//! [`IntersectAlgo::Auto`] has three regimes by the list:buffer size ratio:
+//! merge while the list is shorter than `MERGE_RATIO·|a|` (4·|a|), gallop
+//! above `32·|a|` (the standard crossover), and blocked in between. All
+//! kernels return the same result and charge the same *model* cost metric
+//! through [`CostCounter`], so engine comparisons never depend on kernel
+//! choice — the kernels exist for the wall-clock ablation bench.
 //!
 //! [`materialize`] decodes the base view of a tree node into the candidate
 //! buffer; a tail-less view is a single slice pass (mask the tombstone bit
 //! for the old view, drop tombstoned entries for the new view).
 
-use gcsm_graph::{decode_neighbor, is_tombstone, NeighborView, VertexId};
+use gcsm_graph::{decode_neighbor, is_tombstone, NeighborView, VertexId, TOMBSTONE_BIT};
+
+/// `Auto` merges while `list_len < MERGE_RATIO · cands_len`: below this
+/// ratio a full scan of the list (branch-free on a single run) beats
+/// skipping through it (measured with `crates/bench/benches/intersect.rs`,
+/// DESIGN.md §13.1).
+const MERGE_RATIO: usize = 4;
+
+/// `Auto` gallops once `list_len > GALLOP_RATIO · cands_len`.
+const GALLOP_RATIO: usize = 32;
 
 /// Intersection kernel selector.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,7 +50,7 @@ pub enum IntersectAlgo {
     Merge,
     Gallop,
     Blocked,
-    /// Size-ratio dispatch between `Gallop` and `Blocked`.
+    /// Size-ratio dispatch between `Merge`, `Blocked` and `Gallop`.
     #[default]
     Auto,
 }
@@ -88,14 +105,45 @@ pub fn filter_in_place(
     let gallop_cost = cands.len() as u64 * (log2_ceil(view.raw_len()) + 1);
     cost.charge(merge_cost.min(gallop_cost));
 
+    let algo = match algo {
+        IntersectAlgo::Auto if view.raw_len() < MERGE_RATIO * cands.len() => IntersectAlgo::Merge,
+        IntersectAlgo::Auto if GALLOP_RATIO * cands.len() < view.raw_len() => IntersectAlgo::Gallop,
+        IntersectAlgo::Auto => IntersectAlgo::Blocked,
+        algo => algo,
+    };
     match algo {
+        IntersectAlgo::Merge if view.tail.is_none() => merge_single_run(cands, view),
         IntersectAlgo::Merge => retain_in_view(cands, view, seek_merge),
         IntersectAlgo::Gallop => retain_in_view(cands, view, seek_gallop),
-        IntersectAlgo::Auto if cands.len() * 32 < view.raw_len() => {
-            retain_in_view(cands, view, seek_gallop)
-        }
         IntersectAlgo::Blocked | IntersectAlgo::Auto => retain_in_view(cands, view, seek_blocked),
     }
+}
+
+/// Branch-free two-finger filter of `cands` against the single run
+/// `view.prefix`. Each step writes the current candidate at the write
+/// cursor `k` and advances `k` on a hit, the candidate cursor `i` when the
+/// candidate is not above the entry, and the list cursor `j` when the entry
+/// is not above the candidate — all by comparison results, never by
+/// branching on the data. An entry hits when its raw value (new view: a
+/// tombstoned entry carries the mark bit, so it never equals a candidate)
+/// or its decoded id (old view, plain list) equals the candidate.
+#[inline(always)]
+fn merge_single_run(cands: &mut Vec<VertexId>, view: &NeighborView<'_>) {
+    let run = view.prefix.data;
+    let hit_mask = if view.prefix.skip_tombstones { u32::MAX } else { !TOMBSTONE_BIT };
+    let buf = cands.as_mut_slice();
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+    while let (Some(&c), Some(&e)) = (buf.get(i), run.get(j)) {
+        let id = decode_neighbor(e);
+        // `k <= i < buf.len()`, so the slot always exists.
+        if let Some(slot) = buf.get_mut(k) {
+            *slot = c;
+        }
+        k += usize::from(e & hit_mask == c);
+        i += usize::from(c <= id);
+        j += usize::from(id <= c);
+    }
+    cands.truncate(k);
 }
 
 /// Compact the candidates present in `view` to the front of `cands` and
@@ -351,5 +399,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn single_run_views_agree_in_every_auto_regime() {
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut regimes = [false; 3]; // merge, blocked, gallop
+        for round in 0..40 {
+            for n in 0..=64usize {
+                for ratio in [1, 2, 4, 8, 16] {
+                    let m = if round % 4 == 0 { n / ratio } else { n.div_ceil(ratio) };
+                    let ids = sorted_ids(&mut rng, n, 3 * n as u32 + 8);
+                    let cands = sorted_ids(&mut rng, m, 3 * n as u32 + 8);
+                    // ~30 % of the single run tombstoned.
+                    let marked: Vec<u32> = ids
+                        .iter()
+                        .map(|&v| if rng.gen_bool(0.3) { encode_tombstone(v) } else { v })
+                        .collect();
+                    let (prefix, tail) = split_view_lists(&mut rng, &ids);
+                    for view in [
+                        NeighborView::plain(&ids),
+                        NeighborView::old(&marked),
+                        NeighborView::new_view(&marked, &[]), // tombstones skipped
+                        NeighborView::new_view(&prefix, &tail),
+                    ] {
+                        let (len, list) = (cands.len(), view.raw_len());
+                        if list < MERGE_RATIO * len {
+                            regimes[0] = true;
+                        } else if GALLOP_RATIO * len < list {
+                            regimes[2] = true;
+                        } else {
+                            regimes[1] = true;
+                        }
+                        let expect: Vec<u32> =
+                            cands.iter().copied().filter(|&c| view.contains(c)).collect();
+                        let mut cost = None;
+                        for algo in ALGOS {
+                            let mut buf = Vec::with_capacity(len + 3);
+                            buf.extend_from_slice(&cands);
+                            let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+                            let mut c = CostCounter::default();
+                            filter_in_place(&mut buf, &view, algo, &mut c);
+                            assert_eq!(buf, expect, "{algo:?} n={n} m={len} {view:?}");
+                            assert_eq!(*cost.get_or_insert(c.ops), c.ops, "{algo:?} cost");
+                            assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap), "{algo:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(regimes, [true; 3], "every Auto regime ran");
     }
 }
