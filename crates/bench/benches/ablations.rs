@@ -8,11 +8,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gcsm_bench::{RunConfig, Workload};
-use gcsm_datagen::Preset;
-use gcsm_freq::{estimate_merged, estimate_naive, WalkParams};
+use gcsm_datagen::road::{self, RoadConfig};
+use gcsm_datagen::{Preset, StreamConfig, UpdateStream};
+use gcsm_freq::{estimate_merged, estimate_naive, recommended_walks, WalkParams};
 use gcsm_graph::DynamicGraph;
 use gcsm_matcher::{match_incremental, DriverOptions, DynSource, EnumeratorKind, IntersectAlgo};
 use gcsm_pattern::{compile_incremental, queries, PlanOptions};
+use gcsm_shard::{route, PartitionPolicy, Partitioning};
 
 fn setup() -> (DynamicGraph, Vec<gcsm_graph::EdgeUpdate>) {
     let rc = RunConfig { scale: 0.0625, max_batches: 1, ..Default::default() };
@@ -79,7 +81,31 @@ fn bench_walk_strategies(c: &mut Criterion) {
             b.iter(|| estimate_merged(&src, &plans, &batch, d, &p).walk_ops);
         });
     }
+    // The flat regime next to the skewed one: one shard's share of a bulk
+    // batch on a 2^18-vertex road lattice, Q1, the engine's walk budget.
+    let (g, batch) = road_shard_batch();
+    let q = queries::q1();
+    let plans = compile_incremental(&q, PlanOptions::default());
+    let d = g.max_degree_bound();
+    let params = WalkParams { walks: recommended_walks(q.num_vertices(), batch.len(), d), seed: 3 };
+    group.bench_function("merged_road_q1_shard", |b| {
+        let src = DynSource::new(&g);
+        b.iter(|| estimate_merged(&src, &plans, &batch, d, &params).walk_ops);
+    });
     group.finish();
+}
+
+/// A road lattice with one 4096-update batch of a 20 % uniform stream
+/// applied, and the updates hash shard 0 of 2 matches.
+fn road_shard_batch() -> (DynamicGraph, Vec<gcsm_graph::EdgeUpdate>) {
+    let g0 = road::generate(&RoadConfig::with_vertices(1 << 18, 1));
+    let stream = UpdateStream::generate(&g0, StreamConfig::Fraction(0.2), 2);
+    let batch = stream.batches(4096).next().unwrap_or_default();
+    let mut g = DynamicGraph::from_csr(&stream.initial);
+    let applied = g.apply_batch(batch).applied;
+    let parts = Partitioning::compute(&stream.initial, PartitionPolicy::HashSrc, 2);
+    let shard0 = route(&applied, &parts).per_shard_match.swap_remove(0);
+    (g, shard0)
 }
 
 fn bench_reorganize(c: &mut Criterion) {

@@ -1,6 +1,7 @@
 //! Shared estimator types.
 
 use gcsm_graph::VertexId;
+use std::borrow::Cow;
 
 /// Walk configuration.
 #[derive(Clone, Copy, Debug)]
@@ -20,52 +21,85 @@ impl Default for WalkParams {
 }
 
 /// The estimation result.
+///
+/// The merged estimator also records which vertices it touched, so ranking,
+/// the smallest-estimate check, merging and cache selection cost
+/// O(touched) rather than O(|V|). An estimate built with [`Self::new`] (and
+/// then written through `freq`, as the naive estimator and tests do) keeps
+/// no such list; those operations then scan `freq`.
 #[derive(Clone, Debug, Default)]
 pub struct FreqEstimate {
     /// Estimated access frequency per vertex (`C̃_v` averaged over walks);
     /// `0.0` for vertices never sampled. Length = number of graph vertices
-    /// (the paper's O(|V|) space).
+    /// (the paper's O(|V|) space). Write nonzero entries only into an
+    /// estimate built with [`Self::new`]: a touched list does not see them.
     pub freq: Vec<f64>,
     /// Set-intersection element operations spent by the estimator — the
     /// "FE" overhead of the paper's Table II, charged at CPU cost by the
     /// engines.
     pub walk_ops: u64,
+    /// Every vertex with a nonzero estimate, ascending, when recorded.
+    touched: Option<Vec<VertexId>>,
 }
 
 impl FreqEstimate {
+    /// An all-zero estimate over `n` vertices without a touched list.
     pub fn new(n: usize) -> Self {
-        Self { freq: vec![0.0; n], walk_ops: 0 }
+        Self { freq: vec![0.0; n], walk_ops: 0, touched: None }
+    }
+
+    /// An estimate whose nonzero entries are exactly `touched` (ascending).
+    pub(crate) fn with_touched(freq: Vec<f64>, touched: Vec<VertexId>, walk_ops: u64) -> Self {
+        debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched list not ascending");
+        Self { freq, walk_ops, touched: Some(touched) }
+    }
+
+    /// Vertices the estimate may be nonzero at, ascending: the recorded
+    /// touched list, or a scan of `freq` for an estimate without one.
+    pub(crate) fn touched(&self) -> Cow<'_, [VertexId]> {
+        match &self.touched {
+            Some(t) => Cow::Borrowed(t),
+            None => Cow::Owned(
+                (0..self.freq.len() as VertexId).filter(|&v| self.freq[v as usize] > 0.0).collect(),
+            ),
+        }
+    }
+
+    /// `(vertex, estimate)` for every nonzero estimate, ascending by id.
+    pub(crate) fn nonzero(&self) -> Vec<(VertexId, f64)> {
+        self.touched()
+            .iter()
+            .map(|&v| (v, self.freq[v as usize]))
+            .filter(|&(_, f)| f > 0.0)
+            .collect()
     }
 
     /// Vertices with nonzero estimates, ranked by descending estimate
     /// (ties by ascending id).
     pub fn ranked(&self) -> Vec<(VertexId, f64)> {
-        let mut v: Vec<(VertexId, f64)> = self
-            .freq
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f > 0.0)
-            .map(|(i, &f)| (i as VertexId, f))
-            .collect();
-        v.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        let mut v = self.nonzero();
+        v.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
     /// Smallest nonzero estimate (the `C_y` plugged into the Eq. (5)
     /// adaptivity check).
     pub fn min_nonzero(&self) -> Option<f64> {
-        self.freq
-            .iter()
-            .copied()
-            .filter(|&f| f > 0.0)
-            .fold(None, |acc, f| Some(acc.map_or(f, |a: f64| a.min(f))))
+        self.nonzero().into_iter().map(|(_, f)| f).reduce(f64::min)
     }
 
-    /// Merge another estimate (averaging handled by caller's weights).
+    /// Merge another estimate (averaging handled by caller's weights). A
+    /// touched list on `self` grows by the vertices `other` adds.
     pub fn add_assign(&mut self, other: &FreqEstimate) {
         assert_eq!(self.freq.len(), other.freq.len());
-        for (a, b) in self.freq.iter_mut().zip(&other.freq) {
-            *a += b;
+        let added = other.nonzero();
+        for &(v, f) in &added {
+            self.freq[v as usize] += f;
+        }
+        if let Some(mine) = &mut self.touched {
+            mine.extend(added.iter().map(|&(v, _)| v));
+            mine.sort_unstable();
+            mine.dedup();
         }
         self.walk_ops += other.walk_ops;
     }

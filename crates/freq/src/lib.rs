@@ -19,10 +19,16 @@
 //!   reference; slow, used by tests and the ablation bench);
 //! * [`merged::estimate_merged`] — the paper's Sec. IV-B optimization: all
 //!   `M` walks simulated in a *single* traversal by drawing binomial visit
-//!   counts per loop iteration, eliminating redundant set operations.
+//!   counts per loop iteration, eliminating redundant set operations. It
+//!   walks the sorted seeds seed-major, in fixed chunks on the rayon pool,
+//!   with one keyed random stream per (plan, seed) and tabulated binomials,
+//!   so its estimate is bit-identical for any thread count and batch order.
 //!
-//! [`select`] turns an estimate into a cache set under a byte budget, and
-//! implements the paper's *Naive* baseline policy (degree-based selection).
+//! A [`FreqEstimate`] from the merged estimator records the vertices it
+//! touched. [`select`] turns an estimate into a cache set under a byte
+//! budget from that list alone — when every touched list fits, without
+//! ranking — and implements the paper's *Naive* baseline policy
+//! (degree-based selection).
 //! [`theory`] computes the Theorem-1 bound and the Eq. (5) sample-size rule
 //! with its adaptive restart loop.
 
@@ -45,6 +51,7 @@
 //! assert!(!sel.vertices.is_empty());
 //! ```
 
+mod binomial;
 pub mod estimate;
 pub mod merged;
 pub mod naive;

@@ -7,28 +7,44 @@
 //! `B_child ~ Binomial(B, 1/D)` (the per-iteration binomial of the paper).
 //! Nodes with `B = 0` are pruned, so the traversal only performs the set
 //! operations the `M` walks would actually have needed — once each.
+//!
+//! How the pass is run:
+//!
+//! * **Seed-major order.** The oriented seeds are sorted by vertex id, and
+//!   every delta plan runs on one seed before the next seed starts, so the
+//!   seed's neighbor lists are reused while they are still in cache.
+//! * **Keyed streams.** Each (plan, seed) pair draws from its own
+//!   `SmallRng`, seeded with splitmix64 of (walk seed, plan index, index in
+//!   the sorted seed list). The seeds' binomials were independent draws
+//!   already (not one multinomial), so per-pair streams leave the Sec. IV-B
+//!   distribution unchanged.
+//! * **Parallel chunks.** The sorted seeds are cut into chunks of
+//!   `CHUNK_SEEDS` walked on the rayon pool. Each chunk logs its
+//!   contributions in walk order, and the logs are summed into `freq` in
+//!   chunk order, so the estimate is bit-identical for any thread count and
+//!   any order of the batch.
+//! * **One-uniform draws.** `M`, `S` and `D` are fixed per call, so the
+//!   seed binomial and the per-candidate binomials for `B ≤ 64` are
+//!   tabulated once ([`crate::binomial`]) and each draw inverts a single
+//!   uniform.
+//!
+//! The estimate records the vertices it touched, which is what ranking and
+//! cache selection iterate instead of all of |V|.
 
+use crate::binomial::{BinomialTable, ChildDraws};
 use crate::estimate::{FreqEstimate, WalkParams};
 use crate::naive::plan_seeds;
-use gcsm_graph::{EdgeUpdate, VertexId};
+use gcsm_graph::{splitmix64, EdgeUpdate, VertexId};
 use gcsm_matcher::{
     gen_candidates, seed_admissible, CostCounter, IntersectAlgo, MatchStats, NeighborSource,
 };
 use gcsm_pattern::MatchPlan;
 use rand::{rngs::SmallRng, SeedableRng};
-use rand_distr::{Binomial, Distribution};
+use rayon::prelude::*;
 
-/// Draw `Binomial(n, p)` (delegates to `rand_distr`; exact sampling).
-#[inline]
-fn binomial(rng: &mut SmallRng, n: u64, p: f64) -> u64 {
-    if n == 0 || p <= 0.0 {
-        return 0;
-    }
-    if p >= 1.0 {
-        return n;
-    }
-    Binomial::new(n, p).expect("valid binomial").sample(rng)
-}
+/// Sorted seeds per parallel task. Fixed, so chunk boundaries — and with
+/// them the summation order — never depend on the pool size.
+const CHUNK_SEEDS: usize = 32;
 
 /// Estimate access frequencies with the merged single-execution scheme.
 /// Distribution-equivalent to [`crate::estimate_naive`] (same per-node
@@ -40,84 +56,174 @@ pub fn estimate_merged<S: NeighborSource>(
     max_degree: usize,
     params: &WalkParams,
 ) -> FreqEstimate {
-    let n = src.num_vertices();
-    let mut est = FreqEstimate::new(n);
+    let mut freq = vec![0.0; src.num_vertices()];
     if batch.is_empty() || max_degree == 0 || params.walks == 0 {
-        return est;
+        return FreqEstimate::with_touched(freq, Vec::new(), 0);
     }
-    let seeds = plan_seeds(batch);
+    let mut seeds = plan_seeds(batch);
+    seeds.sort_unstable();
     let s_count = seeds.len() as f64;
     let d = max_degree as f64;
-    let m = params.walks;
-    let mut rng = SmallRng::seed_from_u64(params.seed);
-    let mut cost = CostCounter::default();
-    let mut stats = MatchStats::default();
-    let mut bound: Vec<VertexId> = Vec::new();
-    let mut bufs: Vec<Vec<VertexId>> = Vec::new();
+    let walk = Walk {
+        src,
+        plans,
+        seeds: &seeds,
+        key: splitmix64(params.seed),
+        m: params.walks as f64,
+        d,
+        seed_draw: BinomialTable::new(params.walks, 1.0 / s_count),
+        child_draw: ChildDraws::new(1.0 / d),
+        s_count,
+    };
+    let logs: Vec<ChunkLog> = (0..seeds.len().div_ceil(CHUNK_SEEDS))
+        .into_par_iter()
+        .map_init(Scratch::default, |scratch, c| walk.chunk(c, scratch))
+        .collect();
 
-    for plan in plans {
-        if bufs.len() < plan.levels.len() {
-            bufs.resize_with(plan.levels.len(), Vec::new);
-        }
-        for &(x0, x1) in &seeds {
-            // How many of the M walks start at this seed.
-            let b1 = binomial(&mut rng, m, 1.0 / s_count);
-            if b1 == 0 || !seed_admissible(src, plan, x0, x1) {
-                continue;
+    let mut touched = Vec::new();
+    let mut walk_ops = 0;
+    for log in &logs {
+        walk_ops += log.cost.ops;
+        for &(v, share) in &log.hits {
+            if let Some(f) = freq.get_mut(v as usize) {
+                // Every share is positive, so a zero slot is a first touch.
+                if *f == 0.0 {
+                    touched.push(v);
+                }
+                *f += share;
             }
-            bound.clear();
-            bound.push(x0);
-            bound.push(x1);
-            expand(
-                src, plan, 0, b1, s_count, d, m, &mut rng, &mut bound, &mut bufs, &mut est,
-                &mut cost, &mut stats,
-            );
         }
     }
-    est.walk_ops = cost.ops;
-    est
+    touched.sort_unstable();
+    FreqEstimate::with_touched(freq, touched, walk_ops)
 }
 
-/// Expand one execution-tree node visited by `b` of the `M` walks.
-/// `weight` is the node's inverse sampling probability (S·D^level).
-#[allow(clippy::too_many_arguments)]
-fn expand<S: NeighborSource>(
-    src: &S,
-    plan: &MatchPlan,
-    level: usize,
-    b: u64,
-    weight: f64,
+/// The RNG key of one (plan, seed) pair: `seed_key` is the mixed walk seed,
+/// `seed_index` the seed's index in the sorted seed list.
+fn stream_key(seed_key: u64, plan: usize, seed_index: usize) -> u64 {
+    splitmix64(splitmix64(seed_key ^ plan as u64) ^ seed_index as u64)
+}
+
+/// Everything fixed for one estimation call.
+struct Walk<'a, S> {
+    src: &'a S,
+    plans: &'a [MatchPlan],
+    /// Oriented seeds, sorted.
+    seeds: &'a [(VertexId, VertexId)],
+    /// splitmix64 of the walk seed.
+    key: u64,
+    /// `M`, `D` and `S` as floats.
+    m: f64,
     d: f64,
-    m: u64,
-    rng: &mut SmallRng,
-    bound: &mut Vec<VertexId>,
-    bufs: &mut [Vec<VertexId>],
-    est: &mut FreqEstimate,
-    cost: &mut CostCounter,
-    stats: &mut MatchStats,
-) {
-    // Record the node's accesses, weighted by how many walks visit it.
-    for c in &plan.levels[level].constraints {
-        est.freq[bound[c.pos] as usize] += b as f64 * weight / m as f64;
-    }
-    let (buf, rest) = bufs.split_first_mut().expect("scratch too shallow");
-    gen_candidates(src, plan, level, bound, IntersectAlgo::Auto, buf, cost, stats);
-    if buf.is_empty() || level + 1 == plan.levels.len() {
-        return;
-    }
-    let cands = std::mem::take(buf);
-    for &cand in &cands {
-        // Each walk at this node reaches each child with probability 1/D
-        // (select 1/|V|, continue |V|/D) — the merged per-candidate
-        // binomial of Sec. IV-B.
-        let bc = binomial(rng, b, 1.0 / d);
-        if bc > 0 {
-            bound.push(cand);
-            expand(src, plan, level + 1, bc, weight * d, d, m, rng, bound, rest, est, cost, stats);
-            bound.pop();
+    s_count: f64,
+    /// `Binomial(M, 1/S)`: walks starting at a seed.
+    seed_draw: BinomialTable,
+    /// `Binomial(B, 1/D)`: walks reaching a child of a node visited `B` times.
+    child_draw: ChildDraws,
+}
+
+/// Scratch reused across the chunks one pool block walks.
+#[derive(Default)]
+struct Scratch {
+    bound: Vec<VertexId>,
+    /// One candidate buffer per plan level.
+    bufs: Vec<Vec<VertexId>>,
+    stats: MatchStats,
+}
+
+/// What one chunk contributes: `(vertex, share)` per recorded access, in
+/// walk order, and the set operations spent.
+#[derive(Default)]
+struct ChunkLog {
+    hits: Vec<(VertexId, f64)>,
+    cost: CostCounter,
+}
+
+impl<S: NeighborSource> Walk<'_, S> {
+    /// Walk chunk `c` of the sorted seeds, seed-major.
+    fn chunk(&self, c: usize, scratch: &mut Scratch) -> ChunkLog {
+        let mut log = ChunkLog::default();
+        let first = c * CHUNK_SEEDS;
+        let seeds = self.seeds.iter().skip(first).take(CHUNK_SEEDS);
+        for (i, &(x0, x1)) in (first..).zip(seeds) {
+            for (p, plan) in self.plans.iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64(stream_key(self.key, p, i));
+                // How many of the M walks start at this seed.
+                let b1 = self.seed_draw.sample(&mut rng);
+                if b1 == 0 || !seed_admissible(self.src, plan, x0, x1) {
+                    continue;
+                }
+                if scratch.bufs.len() < plan.levels.len() {
+                    scratch.bufs.resize_with(plan.levels.len(), Vec::new);
+                }
+                scratch.bound.clear();
+                scratch.bound.extend([x0, x1]);
+                self.expand(
+                    plan,
+                    0,
+                    b1,
+                    self.s_count,
+                    &mut rng,
+                    &mut scratch.bound,
+                    &mut scratch.bufs,
+                    &mut log,
+                    &mut scratch.stats,
+                );
+            }
         }
+        log
     }
-    *buf = cands;
+
+    /// Expand one execution-tree node visited by `b` of the `M` walks.
+    /// `weight` is the node's inverse sampling probability (S·D^level).
+    #[allow(clippy::too_many_arguments)]
+    fn expand(
+        &self,
+        plan: &MatchPlan,
+        level: usize,
+        b: u64,
+        weight: f64,
+        rng: &mut SmallRng,
+        bound: &mut Vec<VertexId>,
+        bufs: &mut [Vec<VertexId>],
+        log: &mut ChunkLog,
+        stats: &mut MatchStats,
+    ) {
+        let (Some(node), Some((buf, rest))) = (plan.levels.get(level), bufs.split_first_mut())
+        else {
+            return;
+        };
+        // Record the node's accesses, weighted by how many walks visit it.
+        let share = b as f64 * weight / self.m;
+        log.hits
+            .extend(node.constraints.iter().filter_map(|c| bound.get(c.pos)).map(|&v| (v, share)));
+        gen_candidates(
+            self.src,
+            plan,
+            level,
+            bound,
+            IntersectAlgo::Auto,
+            buf,
+            &mut log.cost,
+            stats,
+        );
+        if buf.is_empty() || level + 1 == plan.levels.len() {
+            return;
+        }
+        let cands = std::mem::take(buf);
+        for &cand in &cands {
+            // Each walk at this node reaches each child with probability 1/D
+            // (select 1/|V|, continue |V|/D) — the merged per-candidate
+            // binomial of Sec. IV-B.
+            let bc = self.child_draw.sample(b, rng);
+            if bc > 0 {
+                bound.push(cand);
+                self.expand(plan, level + 1, bc, weight * self.d, rng, bound, rest, log, stats);
+                bound.pop();
+            }
+        }
+        *buf = cands;
+    }
 }
 
 #[cfg(test)]
@@ -260,5 +366,75 @@ mod tests {
         let a = estimate_merged(&src, &plans, &batch, g.max_degree_bound(), &p);
         let b = estimate_merged(&src, &plans, &batch, g.max_degree_bound(), &p);
         assert_eq!(a.freq, b.freq);
+    }
+
+    /// A random graph and a mixed batch large enough for many seed chunks.
+    fn chunked_fixture() -> (DynamicGraph, Vec<EdgeUpdate>) {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(5);
+        let n = 600u32;
+        let mut pair = || loop {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                return (a, b);
+            }
+        };
+        let edges: Vec<(u32, u32)> = (0..4000).map(|_| pair()).collect();
+        let mut g = DynamicGraph::from_csr(&CsrGraph::from_edges(n as usize, &edges));
+        let batch: Vec<EdgeUpdate> = (0..200)
+            .map(|i| {
+                let (a, b) = pair();
+                if i % 3 == 0 {
+                    EdgeUpdate::delete(a, b)
+                } else {
+                    EdgeUpdate::insert(a, b)
+                }
+            })
+            .collect();
+        let applied = g.apply_batch(&batch).applied;
+        (g, applied)
+    }
+
+    /// The estimate is a function of (graph, batch multiset, params): 1-,
+    /// 2- and 4-thread pools and a shuffled batch give bit-identical
+    /// `freq`, `walk_ops` and touched set.
+    #[test]
+    fn estimate_is_independent_of_threads_and_batch_order() {
+        use rand::seq::SliceRandom;
+        let (g, batch) = chunked_fixture();
+        assert!(batch.len() * 2 > 4 * CHUNK_SEEDS, "fixture too small to chunk");
+        let src = DynSource::new(&g);
+        let plans = compile_incremental(&queries::q1(), PlanOptions::default());
+        let d = g.max_degree_bound();
+        let p = WalkParams { walks: 16 * batch.len() as u64, seed: 77 };
+        let on = |threads: usize, batch: &[EdgeUpdate]| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            pool.install(|| estimate_merged(&src, &plans, batch, d, &p))
+        };
+        let base = on(1, &batch);
+        assert!(base.walk_ops > 0 && base.touched().len() > 10);
+        let mut shuffled = batch.clone();
+        shuffled.shuffle(&mut SmallRng::seed_from_u64(3));
+        for est in [on(2, &batch), on(4, &batch), on(4, &shuffled), on(1, &shuffled)] {
+            assert_eq!(est.freq, base.freq);
+            assert_eq!(est.walk_ops, base.walk_ops);
+            assert_eq!(est.touched(), base.touched());
+        }
+        // The touched list is exactly the nonzero entries.
+        let nonzero: Vec<VertexId> =
+            (0..g.num_vertices() as VertexId).filter(|&v| base.freq[v as usize] > 0.0).collect();
+        assert_eq!(&*base.touched(), &nonzero[..]);
+    }
+
+    /// A different walk seed draws different streams.
+    #[test]
+    fn walk_seed_changes_the_estimate() {
+        let (g, batch) = chunked_fixture();
+        let src = DynSource::new(&g);
+        let plans = compile_incremental(&queries::q1(), PlanOptions::default());
+        let d = g.max_degree_bound();
+        let est =
+            |seed| estimate_merged(&src, &plans, &batch, d, &WalkParams { walks: 3200, seed });
+        assert_ne!(est(1).freq, est(2).freq);
     }
 }

@@ -5,12 +5,19 @@
 //! estimated frequency are cached in the GPU buffer", Sec. VI-A). The
 //! *Naive* baseline uses the same mechanism with node degree as the
 //! frequency proxy — the policy the paper shows to be ineffective.
+//!
+//! [`select_top_frequency`] works from the estimate's touched vertices,
+//! never from all of |V|. When their lists fit the budget together — the
+//! common case, since walks touch a small neighborhood of the batch — the
+//! greedy fill would take every one of them, so they are returned as they
+//! are (already sorted by id) and nothing is ranked. Otherwise only the
+//! touched vertices are ranked.
 
 use crate::estimate::FreqEstimate;
 use gcsm_graph::VertexId;
 
 /// A chosen cache set.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheSelection {
     /// Selected vertices, sorted by ascending id (the DCSR `rowidx` order).
     pub vertices: Vec<VertexId>,
@@ -28,8 +35,14 @@ pub fn select_top_frequency(
     budget_bytes: usize,
     mut list_bytes: impl FnMut(VertexId) -> usize,
 ) -> CacheSelection {
-    let ranked = est.ranked();
-    select_ranked(ranked.into_iter().map(|(v, _)| v), budget_bytes, &mut list_bytes)
+    let mut sized: Vec<(VertexId, f64, usize)> =
+        est.nonzero().into_iter().map(|(v, f)| (v, f, list_bytes(v))).collect();
+    let total: usize = sized.iter().map(|s| s.2).sum();
+    if total <= budget_bytes {
+        return CacheSelection { vertices: sized.into_iter().map(|s| s.0).collect(), bytes: total };
+    }
+    sized.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    select_ranked(sized.into_iter().map(|(v, _, sz)| (v, sz)), budget_bytes)
 }
 
 /// The Naive baseline: rank by degree instead of estimated frequency.
@@ -41,17 +54,16 @@ pub fn select_by_degree(
     mut list_bytes: impl FnMut(VertexId) -> usize,
 ) -> CacheSelection {
     candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    select_ranked(candidates.into_iter().map(|(v, _)| v), budget_bytes, &mut list_bytes)
+    select_ranked(candidates.into_iter().map(|(v, _)| (v, list_bytes(v))), budget_bytes)
 }
 
+/// Greedy fill over `(vertex, list bytes)` in rank order.
 fn select_ranked(
-    ranked: impl Iterator<Item = VertexId>,
+    ranked: impl Iterator<Item = (VertexId, usize)>,
     budget_bytes: usize,
-    list_bytes: &mut impl FnMut(VertexId) -> usize,
 ) -> CacheSelection {
     let mut sel = CacheSelection::default();
-    for v in ranked {
-        let sz = list_bytes(v);
+    for (v, sz) in ranked {
         if sel.bytes + sz <= budget_bytes {
             sel.vertices.push(v);
             sel.bytes += sz;
@@ -115,6 +127,51 @@ mod tests {
     fn degree_policy_prefers_hubs() {
         let sel = select_by_degree(vec![(0, 3), (1, 100), (2, 7)], 16, |_| 8);
         assert_eq!(sel.vertices, vec![1, 2]);
+    }
+
+    /// The greedy fill over every vertex, ranked by descending estimate
+    /// (ties by id) — the reference `select_top_frequency` must equal.
+    fn reference(freq: &[f64], sizes: &[usize], budget: usize) -> CacheSelection {
+        let mut ranked: Vec<usize> = (0..freq.len()).filter(|&v| freq[v] > 0.0).collect();
+        ranked.sort_by(|&a, &b| freq[b].partial_cmp(&freq[a]).unwrap().then(a.cmp(&b)));
+        let mut sel = CacheSelection::default();
+        for v in ranked {
+            if sel.bytes + sizes[v] <= budget {
+                sel.vertices.push(v as VertexId);
+                sel.bytes += sizes[v];
+            }
+        }
+        sel.vertices.sort_unstable();
+        sel
+    }
+
+    proptest::proptest! {
+        /// Sparse selection (with and without a touched list) equals the
+        /// reference greedy, including zero-byte lists and budgets just
+        /// below, at and above the total of every touched list.
+        #[test]
+        fn selection_equals_reference_greedy(
+            raw in proptest::collection::vec((0u8..6, 0usize..5), 1..60),
+            frac in 0usize..101,
+        ) {
+            // Estimates from a small set, so ties occur; 0 means untouched.
+            let freq: Vec<f64> = raw.iter().map(|&(f, _)| f as f64 * 0.5).collect();
+            // Sizes in 8-byte steps, zero-byte lists included.
+            let sizes: Vec<usize> = raw.iter().map(|&(_, s)| s * 8).collect();
+            let touched: Vec<VertexId> =
+                (0..freq.len() as VertexId).filter(|&v| freq[v as usize] > 0.0).collect();
+            let total: usize = touched.iter().map(|&v| sizes[v as usize]).sum();
+            let dense = est_from(&freq);
+            let sparse = FreqEstimate::with_touched(freq.clone(), touched, 0);
+            let budgets = [total.saturating_sub(1), total, total + 1, total * frac / 100];
+            for budget in budgets {
+                let want = reference(&freq, &sizes, budget);
+                for est in [&dense, &sparse] {
+                    let got = select_top_frequency(est, budget, |v| sizes[v as usize]);
+                    proptest::prop_assert_eq!(&got, &want);
+                }
+            }
+        }
     }
 
     #[test]

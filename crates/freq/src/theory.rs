@@ -35,7 +35,7 @@ pub fn min_walks(
 }
 
 /// The paper's practical setting (Sec. VI-A): `M = |ΔE|·D^{n−2} / 32^n`,
-/// clamped to `[32·|ΔE|, 128·|ΔE|]` walks per delta plan.
+/// clamped to `[16·|ΔE|, 96·|ΔE|]` walks per delta plan.
 ///
 /// The clamp matters at laptop scale: the paper's graphs have `D ≈ 5000`,
 /// which makes the formula allot thousands of walks per batch edge; our

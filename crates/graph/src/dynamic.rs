@@ -37,43 +37,49 @@ struct AdjList {
 
 /// Merge one raw adjacency array back into a single sorted live run:
 /// tombstones in the prefix are dropped and the sorted tail is interleaved
-/// (linear time). Shared by the serial, parallel, and off-thread
+/// (one pass, plus a binary search per tail entry). The merge goes through
+/// `scratch` and is copied back, so `data` keeps its allocation (the merged
+/// run is never longer). Shared by the serial, parallel, and off-thread
 /// reorganization paths so they cannot drift apart.
-fn merge_list(data: &[u32], old_len: usize) -> Vec<u32> {
+fn merge_list(data: &mut Vec<u32>, old_len: usize, scratch: &mut Vec<u32>) {
+    scratch.clear();
     let (prefix, tail) = data.split_at(old_len);
-    let mut merged = Vec::with_capacity(data.len());
-    let (mut pi, mut ti) = (0, 0);
-    while pi < prefix.len() || ti < tail.len() {
-        // Skip tombstones in the prefix.
-        if pi < prefix.len() && is_tombstone(prefix[pi]) {
-            pi += 1;
-            continue;
-        }
-        match (prefix.get(pi), tail.get(ti)) {
-            (Some(&p), Some(&t)) => {
-                if p <= t {
-                    merged.push(p);
-                    pi += 1;
-                } else {
-                    merged.push(t);
-                    ti += 1;
-                }
-            }
-            (Some(&p), None) => {
-                merged.push(p);
-                pi += 1;
-            }
-            (None, Some(&t)) => {
-                merged.push(t);
-                ti += 1;
-            }
-            (None, None) => unreachable!(),
-        }
+    fn live(run: &[u32]) -> impl Iterator<Item = u32> + '_ {
+        run.iter().copied().filter(|&e| !is_tombstone(e))
     }
-    merged
+    // The tail is short: place each entry by binary search of the prefix
+    // (sorted by decoded id) and copy the live run before it.
+    let mut rest = prefix;
+    for &t in tail {
+        let (before, after) = rest.split_at(rest.partition_point(|&e| decode_neighbor(e) < t));
+        scratch.extend(live(before));
+        scratch.push(t);
+        rest = after;
+    }
+    scratch.extend(live(rest));
+    data.clear();
+    data.extend_from_slice(scratch);
 }
 
 impl AdjList {
+    /// True when the list has tombstones or an appended tail to merge.
+    fn needs_merge(&self) -> bool {
+        self.dead > 0 || self.old_len < self.data.len()
+    }
+
+    /// Step-4 for one list: merge it through `scratch` if it needs it.
+    /// Returns whether it did.
+    fn reorganize(&mut self, scratch: &mut Vec<u32>) -> bool {
+        if !self.needs_merge() {
+            return false; // resurrections only; already sorted
+        }
+        merge_list(&mut self.data, self.old_len, scratch);
+        self.old_len = self.data.len();
+        self.dead = 0;
+        debug_assert!(self.is_clean_sorted(), "reorganize left a list unsorted or tombstoned");
+        true
+    }
+
     fn live_degree(&self) -> usize {
         self.data.len() - self.dead
     }
@@ -182,7 +188,10 @@ impl ReorgTask {
         let merged = self
             .items
             .into_par_iter()
-            .map(|(v, data, old_len)| (v, merge_list(&data, old_len)))
+            .map_init(Vec::new, |scratch, (v, mut data, old_len)| {
+                merge_list(&mut data, old_len, scratch);
+                (v, data)
+            })
             .collect();
         ReorgResult { epoch, merged }
     }
@@ -507,29 +516,17 @@ impl DynamicGraph {
     }
 
     /// Step-4: remove tombstones and merge each updated list back into one
-    /// sorted run. Linear in the length of each updated list. Returns the
-    /// number of lists reorganized.
+    /// sorted run. Linear in the length of each updated list; every merge
+    /// reuses one scratch buffer, and each list keeps its (doubled-capacity)
+    /// allocation — the paper never shrinks arrays. Returns the number of
+    /// lists reorganized.
     pub fn reorganize(&mut self) -> usize {
         assert_eq!(self.phase, Phase::Sealed, "reorganize requires a sealed batch");
         let mut span = gcsm_obs::span("reorganize", gcsm_obs::cat::GRAPH);
+        let mut scratch = Vec::new();
         let mut count = 0;
         for &v in &self.touched {
-            let list = &mut self.lists[v as usize];
-            if list.dead == 0 && list.old_len == list.data.len() {
-                continue; // resurrections only; already sorted
-            }
-            let merged = merge_list(&list.data, list.old_len);
-            // Keep the doubled-capacity allocation if it still fits; the
-            // paper never shrinks arrays.
-            list.data.clear();
-            list.data.extend_from_slice(&merged);
-            list.old_len = list.data.len();
-            list.dead = 0;
-            debug_assert!(
-                list.is_clean_sorted(),
-                "reorganize left v{v} unsorted, duplicated, or tombstoned"
-            );
-            count += 1;
+            count += usize::from(self.lists[v as usize].reorganize(&mut scratch));
         }
         self.touched.clear();
         self.phase = Phase::Clean;
@@ -539,37 +536,30 @@ impl DynamicGraph {
 
     /// Parallel variant of [`Self::reorganize`]: updated lists are
     /// independent, so the merge runs across the rayon pool (the paper's
-    /// platform reorganizes with 32 CPU threads available). Semantically
-    /// identical to the serial version.
+    /// platform reorganizes with 32 CPU threads available), one scratch
+    /// buffer per pool block. Only the touched lists are visited: they are
+    /// moved out, merged, and moved back. Semantically identical to the
+    /// serial version.
     pub fn reorganize_parallel(&mut self) -> usize {
         use rayon::prelude::*;
         assert_eq!(self.phase, Phase::Sealed, "reorganize requires a sealed batch");
         let mut span = gcsm_obs::span("reorganize", gcsm_obs::cat::GRAPH);
-        let mut touched_flags = vec![false; self.lists.len()];
-        for &v in &self.touched {
-            touched_flags[v as usize] = true;
-        }
-        let count = self
-            .lists
-            .par_iter_mut()
-            .zip(touched_flags.par_iter())
-            .filter(|(_, &t)| t)
-            .map(|(list, _)| {
-                if list.dead == 0 && list.old_len == list.data.len() {
-                    return 0usize;
-                }
-                let merged = merge_list(&list.data, list.old_len);
-                list.data.clear();
-                list.data.extend_from_slice(&merged);
-                list.old_len = list.data.len();
-                list.dead = 0;
-                debug_assert!(
-                    list.is_clean_sorted(),
-                    "parallel reorganize left a list unsorted, duplicated, or tombstoned"
-                );
-                1
+        let mut work: Vec<(VertexId, AdjList)> = self
+            .touched
+            .iter()
+            .filter_map(|&v| {
+                let list = &mut self.lists[v as usize];
+                list.needs_merge().then(|| (v, std::mem::take(list)))
             })
-            .sum();
+            .collect();
+        let count = work
+            .par_iter_mut()
+            .map_init(Vec::new, |scratch, (_, list)| list.reorganize(scratch))
+            .filter(|&merged| merged)
+            .count();
+        for (v, list) in work {
+            self.lists[v as usize] = list;
+        }
         self.touched.clear();
         self.phase = Phase::Clean;
         span.set_count(count as u64);
@@ -589,11 +579,7 @@ impl DynamicGraph {
             .iter()
             .filter_map(|&v| {
                 let list = &self.lists[v as usize];
-                if list.dead == 0 && list.old_len == list.data.len() {
-                    None
-                } else {
-                    Some((v, list.data.clone(), list.old_len))
-                }
+                list.needs_merge().then(|| (v, list.data.clone(), list.old_len))
             })
             .collect();
         ReorgTask { epoch: self.seals, items }
@@ -938,6 +924,91 @@ mod tests {
             assert_eq!(a.raw_list(v).0, b.raw_list(v).0, "v{v}");
         }
         assert!(b.updated_vertices().is_empty());
+    }
+
+    /// Each reorganize path merges in place: a list that still fits its
+    /// array keeps the allocation.
+    #[test]
+    fn reorganized_lists_keep_their_allocation() {
+        type Path = fn(&mut DynamicGraph) -> usize;
+        let paths: [Path; 3] = [DynamicGraph::reorganize, DynamicGraph::reorganize_parallel, |g| {
+            let task = g.take_reorg_task();
+            g.install_reorg(task.compute())
+        }];
+        for path in paths {
+            let mut g = seed();
+            g.begin_batch();
+            g.apply(EdgeUpdate::insert(1, 4));
+            g.apply(EdgeUpdate::delete(1, 2));
+            g.seal_batch();
+            let data = &g.lists[1].data;
+            let before = (data.as_ptr(), data.capacity());
+            assert_eq!(path(&mut g), 3); // v1, v2 and v4
+            let data = &g.lists[1].data;
+            assert_eq!((data.as_ptr(), data.capacity()), before);
+            assert_eq!(g.raw_list(1), (&[0, 3, 4][..], 3));
+        }
+    }
+
+    /// Serial, parallel and off-thread reorganize leave identical lists —
+    /// the live adjacency sets — over random insert/delete batches.
+    #[test]
+    fn all_reorganize_paths_agree() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let n = 40u32;
+        let pair = |rng: &mut SmallRng| loop {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                return (a, b);
+            }
+        };
+        let edges: Vec<(u32, u32)> = (0..120).map(|_| pair(&mut rng)).collect();
+        let base = DynamicGraph::from_csr(&CsrGraph::from_edges(n as usize, &edges));
+        // Oracle: the live adjacency sets.
+        let mut adj: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); n as usize];
+        for &(x, y) in &edges {
+            adj[x as usize].insert(y);
+            adj[y as usize].insert(x);
+        }
+        let (mut a, mut b, mut c) = (base.clone(), base.clone(), base);
+        for _ in 0..8 {
+            let batch: Vec<EdgeUpdate> = (0..60)
+                .map(|_| {
+                    let (x, y) = pair(&mut rng);
+                    if rng.gen_bool(0.5) {
+                        EdgeUpdate::insert(x, y)
+                    } else {
+                        EdgeUpdate::delete(x, y)
+                    }
+                })
+                .collect();
+            for g in [&mut a, &mut b, &mut c] {
+                g.apply_batch(&batch);
+            }
+            for u in &batch {
+                let (x, y) = (u.src as usize, u.dst as usize);
+                if u.op == UpdateOp::Insert {
+                    adj[x].insert(u.dst);
+                    adj[y].insert(u.src);
+                } else {
+                    adj[x].remove(&u.dst);
+                    adj[y].remove(&u.src);
+                }
+            }
+            let ca = a.reorganize();
+            let cb = b.reorganize_parallel();
+            let task = c.take_reorg_task();
+            let cc = c.install_reorg(task.compute());
+            assert!(ca > 0);
+            assert_eq!((ca, cb), (cc, cc));
+            for v in 0..n {
+                let want: Vec<u32> = adj[v as usize].iter().copied().collect();
+                assert_eq!(a.raw_list(v), (&want[..], want.len()), "v{v}");
+                assert_eq!(a.raw_list(v), b.raw_list(v), "v{v}");
+                assert_eq!(a.raw_list(v), c.raw_list(v), "v{v}");
+            }
+        }
     }
 
     #[test]

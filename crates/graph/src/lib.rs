@@ -56,7 +56,7 @@ pub use csr::{CsrBuilder, CsrGraph};
 pub use dynamic::{BatchSummary, DynamicGraph, ReorgResult, ReorgTask};
 pub use stats::GraphStats;
 pub use types::{
-    decode_neighbor, encode_tombstone, is_tombstone, EdgeUpdate, Label, UpdateOp, VertexId,
-    TOMBSTONE_BIT,
+    decode_neighbor, encode_tombstone, is_tombstone, splitmix64, EdgeUpdate, Label, UpdateOp,
+    VertexId, TOMBSTONE_BIT,
 };
 pub use view::{NeighborRun, NeighborView};

@@ -36,6 +36,17 @@ pub fn encode_tombstone(v: VertexId) -> u32 {
     v | TOMBSTONE_BIT
 }
 
+/// splitmix64: a cheap stateless 64-bit mixer. Hash partitioning uses it to
+/// place vertices, and the walk estimator keys its per-seed random streams
+/// with it.
+#[inline]
+pub fn splitmix64(v: u64) -> u64 {
+    let mut z = v.wrapping_add(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// Whether an edge update inserts or deletes the edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UpdateOp {

@@ -49,6 +49,8 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/matcher/src/stack.rs",
     "crates/core/src/engines/",
     "crates/cache/src/delta.rs",
+    "crates/freq/src/merged.rs",
+    "crates/freq/src/binomial.rs",
 ];
 
 /// Scopes where `Ordering::Relaxed` requires a justification comment.

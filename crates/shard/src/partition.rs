@@ -8,7 +8,9 @@
 //! neighbor list complete on its shard.
 
 use crate::ShardId;
-use gcsm_graph::{CsrBuilder, CsrGraph, DynamicGraph, EdgeUpdate, GraphStats, VertexId};
+use gcsm_graph::{
+    splitmix64, CsrBuilder, CsrGraph, DynamicGraph, EdgeUpdate, GraphStats, VertexId,
+};
 
 /// How vertices are assigned to shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,14 +46,6 @@ impl PartitionPolicy {
     }
 }
 
-/// splitmix64 — cheap stateless mixer for [`PartitionPolicy::HashSrc`].
-fn mix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// A computed vertex-to-shard assignment.
 #[derive(Clone, Debug)]
 pub struct Partitioning {
@@ -68,7 +62,7 @@ impl Partitioning {
         let shards = num_shards.max(1);
         let owners: Vec<ShardId> = match policy {
             PartitionPolicy::HashSrc => {
-                (0..n).map(|v| (mix(v as u64) % shards as u64) as ShardId).collect()
+                (0..n).map(|v| (splitmix64(v as u64) % shards as u64) as ShardId).collect()
             }
             PartitionPolicy::Range => {
                 let per = n.div_ceil(shards).max(1);
@@ -114,7 +108,7 @@ impl Partitioning {
         self.owners
             .get(v as usize)
             .copied()
-            .unwrap_or_else(|| (mix(v as u64) % self.num_shards as u64) as ShardId)
+            .unwrap_or_else(|| (splitmix64(v as u64) % self.num_shards as u64) as ShardId)
     }
 
     /// Whether edge `(a, b)` crosses shards (its owners differ).
