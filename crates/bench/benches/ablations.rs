@@ -4,13 +4,23 @@
 //! * recursive vs stack enumerator;
 //! * merged-binomial vs naive independent random walks (Sec. IV-B);
 //! * estimator walk budget `M` (Eq. (5) trade-off);
+//! * the incremental GPU kernel on one skewed Q4 batch (seed-group executor,
+//!   DESIGN.md §17);
 //! * graph reorganisation (Table III's wall-clock counterpart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gcsm::kernel::run_gpu_kernel_with_plans;
+use gcsm::sources::CachedSource;
+use gcsm::EngineConfig;
 use gcsm_bench::{RunConfig, Workload};
+use gcsm_cache::Dcsr;
 use gcsm_datagen::road::{self, RoadConfig};
+use gcsm_datagen::social::{generate_social, SocialConfig};
 use gcsm_datagen::{Preset, StreamConfig, UpdateStream};
-use gcsm_freq::{estimate_merged, estimate_naive, recommended_walks, WalkParams};
+use gcsm_freq::{
+    estimate_merged, estimate_naive, recommended_walks, select_top_frequency, WalkParams,
+};
+use gcsm_gpusim::Device;
 use gcsm_graph::DynamicGraph;
 use gcsm_matcher::{match_incremental, DriverOptions, DynSource, EnumeratorKind, IntersectAlgo};
 use gcsm_pattern::{compile_incremental, queries, PlanOptions};
@@ -108,6 +118,39 @@ fn road_shard_batch() -> (DynamicGraph, Vec<gcsm_graph::EdgeUpdate>) {
     (g, shard0)
 }
 
+/// One batch through the incremental kernel over GCSM's cached source: a
+/// skewed social graph (2^15 vertices, backbone degree 6), the paper's 10 %
+/// uniform stream in batches of 1024, Q4, and the cache the engine selects
+/// from the merged-walk estimate under the device budget.
+fn bench_kernel(c: &mut Criterion) {
+    let g0 = generate_social(&SocialConfig::new(15, 6, 1));
+    let stream = UpdateStream::generate(&g0, StreamConfig::Fraction(0.10), 2);
+    let batch = stream.batches(1024).next().unwrap_or_default();
+    let mut g = DynamicGraph::from_csr(&stream.initial);
+    let applied = g.apply_batch(batch).applied;
+    let q = queries::q4();
+    let cfg = EngineConfig::default();
+    let plans = compile_incremental(&q, cfg.plan);
+    let d = g.max_degree_bound();
+    let params = WalkParams {
+        walks: recommended_walks(q.num_vertices(), applied.len(), d),
+        seed: cfg.walk_seed,
+    };
+    let est = estimate_merged(&DynSource::new(&g), &plans, &applied, d, &params);
+    let selection = select_top_frequency(&est, cfg.gpu.cache_budget(), |v| g.list_bytes(v));
+    let dcsr = Dcsr::pack(&g, &selection.vertices);
+    let mut group = c.benchmark_group("ablation_kernel");
+    group.sample_size(10);
+    group.bench_function("skew_q4_cached", |b| {
+        b.iter(|| {
+            let device = Device::new(cfg.gpu);
+            let src = CachedSource { graph: &g, device: &device, dcsr: &dcsr };
+            run_gpu_kernel_with_plans(&device, &src, &plans, &applied, &cfg).stats.matches
+        });
+    });
+    group.finish();
+}
+
 fn bench_reorganize(c: &mut Criterion) {
     let rc = RunConfig { scale: 0.25, max_batches: 1, ..Default::default() };
     let mut group = c.benchmark_group("table3_reorganize_wall");
@@ -121,7 +164,10 @@ fn bench_reorganize(c: &mut Criterion) {
                     g.apply_batch(&w.batches[0]);
                     g
                 },
-                |mut g| g.reorganize(),
+                |mut g| {
+                    g.reorganize();
+                    g
+                },
                 criterion::BatchSize::LargeInput,
             );
         });
@@ -135,7 +181,10 @@ fn bench_reorganize(c: &mut Criterion) {
                         g.apply_batch(&w.batches[0]);
                         g
                     },
-                    |mut g| g.reorganize_parallel(),
+                    |mut g| {
+                        g.reorganize_parallel();
+                        g
+                    },
                     criterion::BatchSize::LargeInput,
                 );
             },
@@ -149,6 +198,7 @@ criterion_group!(
     bench_intersect_kernels,
     bench_enumerators,
     bench_walk_strategies,
+    bench_kernel,
     bench_reorganize
 );
 criterion_main!(benches);

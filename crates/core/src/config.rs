@@ -14,7 +14,10 @@ pub struct EngineConfig {
     pub plan: PlanOptions,
     /// Set-intersection kernel selection.
     pub algo: IntersectAlgo,
-    /// Enumerator implementation (stack = the GPU kernel shape).
+    /// Enumerator of the CPU engines and of the static bootstrap kernel
+    /// (stack = the GPU kernel shape). The incremental GPU kernel always
+    /// runs the seed-group executor (`gcsm_matcher::run_seed`), whose DFS
+    /// is the stack enumerator's.
     pub enumerator: EnumeratorKind,
     /// Override the number of random walks per delta plan; `None` uses the
     /// paper's rule `M = |ΔE|·D^{n−2}/32^n` (Sec. VI-A).

@@ -3,19 +3,26 @@
 //!
 //! Every GPU engine (GCSM, ZP, UM, VSGM, Naive) runs this exact function —
 //! the STMatch-adapted kernel of Sec. V-C — against a different
-//! [`gcsm_matcher::NeighborSource`]. The seed tasks (plan × batch edge ×
-//! orientation) map to thread blocks. STMatch balances skewed seeds with
-//! inter-block stealing; here the pool splits the task list into contiguous
-//! blocks (16 per pool thread) that threads claim dynamically, so threads
-//! that draw cheap blocks keep claiming while another works through a
-//! costly plan's seeds. Compute is charged to the device as `gpu_ops`.
+//! [`gcsm_matcher::NeighborSource`]. The work items are the oriented seeds
+//! (batch edge × orientation): each runs every delta plan on its seed
+//! through [`gcsm_matcher::run_seed`], which shares the subtrees of plans
+//! that agree below level 0 (DESIGN.md §17). The pool splits the seed list
+//! into contiguous blocks (16 per pool thread) that threads claim
+//! dynamically, so threads that draw cheap blocks keep claiming while
+//! another works through a hub's seeds.
+//!
+//! The grid model still sees the (plan × batch edge × orientation) tasks
+//! STMatch maps to thread blocks: every (plan, seed) pair's stats are
+//! written back to its plan-major index `pi·2|ΔE| + 2e + o`, so the
+//! per-task cost vector, and with it the imbalance factor, is the one a
+//! per-task launch records. Compute is charged to the device as `gpu_ops`.
 
 use crate::config::EngineConfig;
 use gcsm_gpusim::Device;
 use gcsm_graph::EdgeUpdate;
 use gcsm_matcher::{
-    delta_seeds, match_from_seed, match_from_seed_stack, EnumeratorKind, MatchStats,
-    NeighborSource, Scratch, StackScratch,
+    match_from_seed, match_from_seed_stack, run_seed, EnumeratorKind, MatchStats, NeighborSource,
+    PlanGroups, Scratch, SeedScratch, StackScratch,
 };
 use gcsm_pattern::{compile_incremental, QueryGraph};
 use rayon::prelude::*;
@@ -53,71 +60,60 @@ pub fn run_gpu_kernel_with_plans<S: NeighborSource>(
     cfg: &EngineConfig,
 ) -> KernelRun {
     device.traffic().add_kernel_launches(1);
-
-    // Per-task cost vector (intersect ops + list accesses as a proxy for
-    // the task's memory time) for the load-balance model.
-    let tasks = delta_seeds(plans, batch);
-    let run_task =
-        |rs: &mut Scratch, ss: &mut StackScratch, pi: usize, a, b, sign| match cfg.enumerator {
-            EnumeratorKind::Recursive => {
-                match_from_seed(src, &plans[pi], a, b, sign, cfg.algo, rs, &mut |_, _| {})
-            }
-            EnumeratorKind::Stack => {
-                match_from_seed_stack(src, &plans[pi], a, b, sign, cfg.algo, ss, &mut |_, _| {})
-            }
-        };
-    let run_slice = |slice: &[(usize, gcsm_graph::VertexId, gcsm_graph::VertexId, i64)]| -> Vec<(MatchStats, u64)> {
-        if cfg.parallel_kernel {
-            slice
-                .par_iter()
-                .map_init(
-                    || (Scratch::default(), StackScratch::default()),
-                    |(rs, ss), &(pi, a, b, sign)| {
-                        let s = run_task(rs, ss, pi, a, b, sign);
-                        let cost = s.intersect_ops + s.list_accesses;
-                        (s, cost)
-                    },
-                )
-                .collect()
-        } else {
-            let mut rs = Scratch::default();
-            let mut ss = StackScratch::default();
-            slice
-                .iter()
-                .map(|&(pi, a, b, sign)| {
-                    let s = run_task(&mut rs, &mut ss, pi, a, b, sign);
-                    let cost = s.intersect_ops + s.list_accesses;
-                    (s, cost)
-                })
-                .collect()
-        }
-    };
-    // `delta_seeds` is plan-major: plan `i`'s tasks are one contiguous
-    // chunk of `batch.len() * 2` seeds, so with tracing on each ΔM_i level
-    // runs under its own `dm_i` span. The chunks partition the same task
-    // list in the same order, so the per-task cost vector (and therefore
-    // the imbalance factor) is identical either way.
-    let stride = batch.len() * 2;
-    let per_task: Vec<(MatchStats, u64)> = if gcsm_obs::enabled() && stride > 0 {
-        let mut out = Vec::with_capacity(tasks.len());
-        for (level, chunk) in tasks.chunks(stride).enumerate() {
-            let mut span = gcsm_obs::span("dm_i", gcsm_obs::cat::MATCHER);
-            span.set_level(level as u32);
-            span.set_count(chunk.len() as u64);
-            out.extend(run_slice(chunk));
-        }
-        out
-    } else {
-        run_slice(&tasks)
+    let per_task = {
+        let mut span = gcsm_obs::span("dm_i", gcsm_obs::cat::MATCHER);
+        span.set_count((plans.len() * batch.len() * 2) as u64);
+        delta_task_stats(src, plans, batch, cfg)
     };
     let mut merge_span = gcsm_obs::span("merge", gcsm_obs::cat::MATCHER);
     merge_span.set_count(per_task.len() as u64);
-    let costs: Vec<u64> = per_task.iter().map(|(_, c)| *c).collect();
+    // Per-task cost (intersect ops + list accesses as a proxy for the
+    // task's memory time) for the load-balance model.
+    let costs: Vec<u64> = per_task.iter().map(|s| s.intersect_ops + s.list_accesses).collect();
     let imbalance = gcsm_gpusim::imbalance_factor(&costs, cfg.gpu.num_blocks, cfg.scheduling);
-    let stats = per_task.into_iter().map(|(s, _)| s).sum::<MatchStats>();
+    let stats = per_task.into_iter().sum::<MatchStats>();
     drop(merge_span);
     device.gpu_ops(stats.intersect_ops);
     KernelRun { stats, imbalance }
+}
+
+/// The kernel's per-task stats: one entry per (plan, batch edge,
+/// orientation) task at plan-major index `pi·2|ΔE| + 2e + o`, orientation
+/// 0 seeding `(src, dst)` and 1 `(dst, src)`. Each entry equals what
+/// [`gcsm_matcher::match_from_seed_stack`] returns for that task, and `src`
+/// is charged the same view reads; the tasks run seed-major through
+/// [`gcsm_matcher::run_seed`], on the pool when `cfg.parallel_kernel` is set.
+pub fn delta_task_stats<S: NeighborSource>(
+    src: &S,
+    plans: &[gcsm_pattern::MatchPlan],
+    batch: &[EdgeUpdate],
+    cfg: &EngineConfig,
+) -> Vec<MatchStats> {
+    let groups = PlanGroups::new(plans);
+    let (n_plans, n_seeds) = (plans.len(), batch.len() * 2);
+    // Seed-major output: seed `s` owns `by_seed[s·P .. (s+1)·P]`, one slot
+    // per plan, so a seed writes a fixed-size slice and allocates nothing.
+    let mut by_seed = vec![MatchStats::default(); n_plans * n_seeds];
+    let seeds = batch.iter().flat_map(|u| {
+        let sign = u.op.sign();
+        [(u.src, u.dst, sign), (u.dst, u.src, sign)]
+    });
+    let run = |scratch: &mut SeedScratch, out: &mut [MatchStats], (a, b, sign)| {
+        run_seed(src, plans, &groups, a, b, sign, cfg.algo, scratch, out)
+    };
+    if n_plans > 0 {
+        let items = by_seed.chunks_mut(n_plans).zip(seeds);
+        if cfg.parallel_kernel {
+            items.into_par_iter().for_each_init(SeedScratch::default, |scratch, (out, seed)| {
+                run(scratch, out, seed)
+            });
+        } else {
+            let mut scratch = SeedScratch::default();
+            items.for_each(|(out, seed)| run(&mut scratch, out, seed));
+        }
+    }
+    // Transpose to the plan-major task order of the grid model.
+    (0..n_plans).flat_map(|pi| by_seed.iter().skip(pi).step_by(n_plans).copied()).collect()
 }
 
 /// Static (from-scratch) matching on the simulated GPU: seed the static
@@ -243,24 +239,21 @@ mod tests {
         let cached: Vec<u32> = (0..g.num_vertices() as u32).step_by(3).collect();
         let dcsr = Dcsr::pack(&g, &cached);
         let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
-        for q in [queries::triangle(), queries::q1()] {
-            for enumerator in [EnumeratorKind::Recursive, EnumeratorKind::Stack] {
-                let run = |parallel_kernel: bool| {
-                    let device = Device::new(GpuConfig::default());
-                    let src = CachedSource { graph: &g, device: &device, dcsr: &dcsr };
-                    let cfg =
-                        EngineConfig { parallel_kernel, enumerator, ..EngineConfig::default() };
-                    let run = pool.install(|| run_gpu_kernel(&device, &src, &q, &applied, &cfg));
-                    (run, device.snapshot())
-                };
-                let (par, par_traffic) = run(true);
-                let (ser, ser_traffic) = run(false);
-                assert!(par_traffic.cache_hits > 0 && par_traffic.cache_misses > 0);
-                assert!(par.stats.matches != 0 && par.stats.list_accesses > 0);
-                assert_eq!(par.stats, ser.stats, "{} {enumerator:?}", q.name());
-                assert_eq!(par_traffic, ser_traffic, "{} {enumerator:?}", q.name());
-                assert!((par.imbalance - ser.imbalance).abs() < 1e-9);
-            }
+        for q in [queries::triangle(), queries::q1(), queries::q4()] {
+            let run = |parallel_kernel: bool| {
+                let device = Device::new(GpuConfig::default());
+                let src = CachedSource { graph: &g, device: &device, dcsr: &dcsr };
+                let cfg = EngineConfig { parallel_kernel, ..EngineConfig::default() };
+                let run = pool.install(|| run_gpu_kernel(&device, &src, &q, &applied, &cfg));
+                (run, device.snapshot())
+            };
+            let (par, par_traffic) = run(true);
+            let (ser, ser_traffic) = run(false);
+            assert!(par_traffic.cache_hits > 0 && par_traffic.cache_misses > 0);
+            assert!(par.stats.matches != 0 && par.stats.list_accesses > 0);
+            assert_eq!(par.stats, ser.stats, "{}", q.name());
+            assert_eq!(par_traffic, ser_traffic, "{}", q.name());
+            assert_eq!(par.imbalance.to_bits(), ser.imbalance.to_bits());
         }
     }
 

@@ -68,13 +68,16 @@ pub fn makespan(task_costs: &[u64], blocks: usize, policy: Scheduling) -> u64 {
             task_costs.chunks(chunk).map(|c| c.iter().sum()).max().unwrap_or(0)
         }
         Scheduling::WorkStealing => {
-            // List scheduling via a min-heap of block finish times.
+            // List scheduling via a min-heap of block finish times: each
+            // task raises the least-loaded block in place (one sift down
+            // per task instead of a pop and a push).
             use std::cmp::Reverse;
             use std::collections::BinaryHeap;
             let mut heap: BinaryHeap<Reverse<u64>> = (0..blocks).map(|_| Reverse(0u64)).collect();
             for &c in task_costs {
-                let Reverse(t) = heap.pop().expect("blocks > 0");
-                heap.push(Reverse(t + c));
+                if let Some(mut least) = heap.peek_mut() {
+                    least.0 += c;
+                }
             }
             heap.into_iter().map(|Reverse(t)| t).max().unwrap_or(0)
         }
@@ -149,6 +152,42 @@ mod tests {
         let ideal = total.div_ceil(blocks as u64);
         let max = *costs.iter().max().unwrap();
         assert!(makespan(&costs, blocks, Scheduling::WorkStealing) <= ideal + max);
+    }
+
+    /// The pop-and-push list scheduler `makespan` used before the in-place
+    /// `peek_mut` update.
+    fn stealing_pop_push(task_costs: &[u64], blocks: usize) -> u64 {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut heap: BinaryHeap<Reverse<u64>> = (0..blocks).map(|_| Reverse(0u64)).collect();
+        for &c in task_costs {
+            let Reverse(t) = heap.pop().unwrap();
+            heap.push(Reverse(t + c));
+        }
+        heap.into_iter().map(|Reverse(t)| t).max().unwrap_or(0)
+    }
+
+    #[test]
+    fn stealing_matches_pop_push_reference() {
+        // splitmix64: random cost vectors with heavy-tailed costs and zeros.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200 {
+            let n = (next() % 600) as usize;
+            let blocks = 1 + (next() % 100) as usize;
+            let costs: Vec<u64> = (0..n).map(|_| (next() % 1000) >> (next() % 10)).collect();
+            assert_eq!(
+                makespan(&costs, blocks, Scheduling::WorkStealing),
+                stealing_pop_push(&costs, blocks),
+                "{n} tasks on {blocks} blocks"
+            );
+        }
     }
 
     #[test]

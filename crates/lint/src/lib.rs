@@ -47,6 +47,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/matcher/src/enumerate.rs",
     "crates/matcher/src/intersect.rs",
     "crates/matcher/src/stack.rs",
+    "crates/matcher/src/group.rs",
     "crates/core/src/engines/",
     "crates/cache/src/delta.rs",
     "crates/freq/src/merged.rs",

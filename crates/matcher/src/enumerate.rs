@@ -12,7 +12,7 @@ use crate::source::NeighborSource;
 use crate::stats::MatchStats;
 use gcsm_graph::{NeighborView, VertexId};
 use gcsm_pattern::query::MAX_PATTERN;
-use gcsm_pattern::MatchPlan;
+use gcsm_pattern::{MatchPlan, ViewSel};
 
 /// Reusable per-thread buffers (candidate stacks and the binding vector).
 #[derive(Default)]
@@ -152,6 +152,28 @@ pub fn gen_candidates<S: NeighborSource>(
     cost: &mut CostCounter,
     stats: &mut MatchStats,
 ) {
+    gen_candidates_logged(src, plan, level, bound, algo, out, cost, stats, &mut |_, _| {});
+}
+
+/// [`gen_candidates`] that also reports every view it reads to `log` as
+/// `(vertex, view)`, in read order — the seed-group executor replays them
+/// to charge a shared subtree's traffic once per plan that owns it.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn gen_candidates_logged<S, L>(
+    src: &S,
+    plan: &MatchPlan,
+    level: usize,
+    bound: &[VertexId],
+    algo: IntersectAlgo,
+    out: &mut Vec<VertexId>,
+    cost: &mut CostCounter,
+    stats: &mut MatchStats,
+    log: &mut L,
+) where
+    S: NeighborSource,
+    L: FnMut(VertexId, ViewSel),
+{
     let Some(lvl) = plan.levels.get(level) else {
         debug_assert!(false, "gen_candidates level out of plan range");
         out.clear();
@@ -168,7 +190,9 @@ pub fn gen_candidates<S: NeighborSource>(
     let (mut base, mut base_len, mut n_views) = (0usize, usize::MAX, 0usize);
     for (slot, c) in views.iter_mut().zip(&lvl.constraints) {
         // lint:allow(hot-path-panic) -- c.pos < level == bound.len() by plan construction
-        let view = src.view(bound[c.pos], c.view);
+        let v = bound[c.pos];
+        log(v, c.view);
+        let view = src.view(v, c.view);
         if view.raw_len() < base_len {
             (base, base_len) = (n_views, view.raw_len());
         }

@@ -15,6 +15,9 @@
 //! * [`stack`] — the STMatch-style iterative enumerator with an explicit
 //!   per-level candidate stack (the shape of the paper's GPU kernel).
 //!   Produces bit-identical results to the recursive one.
+//! * [`group`] — the seed-group executor the GPU kernel runs: every delta
+//!   plan of one oriented seed together, with plans that share their levels
+//!   below level 0 sharing each common level-0 candidate's subtree.
 //! * [`driver`] — whole-task entry points: static matching over all graph
 //!   edges and incremental matching over a batch `ΔE` (running all `m`
 //!   delta plans and summing signed counts, Eq. (1)).
@@ -39,6 +42,7 @@
 pub mod access;
 pub mod driver;
 pub mod enumerate;
+pub mod group;
 pub mod intersect;
 pub mod limit;
 pub mod source;
@@ -51,6 +55,7 @@ pub use driver::{
     EnumeratorKind,
 };
 pub use enumerate::{gen_candidates, match_from_seed, seed_admissible, Scratch};
+pub use group::{run_seed, PlanGroups, SeedScratch};
 pub use intersect::{CostCounter, IntersectAlgo};
 pub use limit::{match_incremental_limited, LimitedResult};
 pub use source::{CsrSource, DynSource, NeighborSource, RecordingSource};

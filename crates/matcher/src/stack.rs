@@ -9,12 +9,12 @@
 //! the recursive enumerator by construction (property-tested in the
 //! integration suite as well).
 
-use crate::enumerate::{gen_candidates, seed_admissible};
+use crate::enumerate::{gen_candidates_logged, seed_admissible};
 use crate::intersect::{CostCounter, IntersectAlgo};
 use crate::source::NeighborSource;
 use crate::stats::MatchStats;
 use gcsm_graph::VertexId;
-use gcsm_pattern::MatchPlan;
+use gcsm_pattern::{MatchPlan, ViewSel};
 
 /// Per-level stack frame: the filtered candidate array plus a cursor
 /// (STMatch's "stack data structure to store intermediate subgraphs").
@@ -28,7 +28,7 @@ struct Frame {
 #[derive(Default)]
 pub struct StackScratch {
     frames: Vec<Frame>,
-    bound: Vec<VertexId>,
+    pub(crate) bound: Vec<VertexId>,
 }
 
 /// Iterative equivalent of [`crate::enumerate::match_from_seed`].
@@ -51,36 +51,63 @@ where
     if !seed_admissible(src, plan, x0, x1) {
         return stats;
     }
-    let depth = plan.levels.len();
-    if scratch.frames.len() < depth {
-        scratch.frames.resize_with(depth, Frame::default);
-    }
     scratch.bound.clear();
     scratch.bound.push(x0);
     scratch.bound.push(x1);
+    let mut cost = CostCounter::default();
+    run_levels(src, plan, sign, algo, scratch, &mut cost, &mut stats, emit, &mut |_, _| {});
+    stats.intersect_ops += cost.ops;
+    stats
+}
 
-    if depth == 0 {
-        // Two-vertex pattern: the seed is the whole match.
+/// The frame-stack DFS below the bound prefix: binds `plan.levels[start..]`
+/// where `start = scratch.bound.len() - 2` (the seed binds two vertices),
+/// emitting every complete match. Set-op work goes to `cost`, list accesses
+/// and matches to `stats`, and every view read to `log`. On return the bound
+/// prefix is as it was on entry.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_levels<S, F, L>(
+    src: &S,
+    plan: &MatchPlan,
+    sign: i64,
+    algo: IntersectAlgo,
+    scratch: &mut StackScratch,
+    cost: &mut CostCounter,
+    stats: &mut MatchStats,
+    emit: &mut F,
+    log: &mut L,
+) where
+    S: NeighborSource,
+    F: FnMut(&[VertexId], i64),
+    L: FnMut(VertexId, ViewSel),
+{
+    let depth = plan.levels.len();
+    let start = scratch.bound.len().saturating_sub(2);
+    if start >= depth {
+        // The prefix is the whole match (a two-vertex pattern, or a subtree
+        // entered at its leaf).
         stats.matches += sign;
         emit(&scratch.bound, sign);
-        return stats;
+        return;
     }
-
-    let mut cost = CostCounter::default();
-    // Enter level 0. The resize above guarantees `frames.len() >= depth`,
-    // and `level` stays `< depth` throughout, so the frame lookups below
-    // cannot miss; `get_mut` + `debug_assert` keeps the kernel panic-free.
+    if scratch.frames.len() < depth {
+        scratch.frames.resize_with(depth, Frame::default);
+    }
+    // Enter level `start`. The resize above guarantees
+    // `frames.len() >= depth`, and `level` stays in `start..depth`
+    // throughout, so the frame lookups below cannot miss; `get_mut` +
+    // `debug_assert` keeps the kernel panic-free.
     {
-        let Some(frame) = scratch.frames.first_mut() else {
-            debug_assert!(false, "frame stack empty at nonzero depth");
-            return stats;
+        let Some(frame) = scratch.frames.get_mut(start) else {
+            debug_assert!(false, "frame stack shallower than plan depth");
+            return;
         };
         let mut cands = std::mem::take(&mut frame.cands);
-        gen_candidates(src, plan, 0, &scratch.bound, algo, &mut cands, &mut cost, &mut stats);
+        gen_candidates_logged(src, plan, start, &scratch.bound, algo, &mut cands, cost, stats, log);
         frame.cands = cands;
         frame.cursor = 0;
     }
-    let mut level = 0usize;
+    let mut level = start;
     loop {
         let Some(frame) = scratch.frames.get_mut(level) else {
             debug_assert!(false, "level beyond frame stack");
@@ -88,7 +115,7 @@ where
         };
         let Some(&cand) = frame.cands.get(frame.cursor) else {
             // Exhausted: backtrack.
-            if level == 0 {
+            if level == start {
                 break;
             }
             level -= 1;
@@ -110,15 +137,16 @@ where
                 break;
             };
             let mut cands = std::mem::take(&mut frame.cands);
-            gen_candidates(
+            gen_candidates_logged(
                 src,
                 plan,
                 level,
                 &scratch.bound,
                 algo,
                 &mut cands,
-                &mut cost,
-                &mut stats,
+                cost,
+                stats,
+                log,
             );
             let Some(frame) = scratch.frames.get_mut(level) else {
                 debug_assert!(false, "level beyond frame stack");
@@ -128,8 +156,6 @@ where
             frame.cursor = 0;
         }
     }
-    stats.intersect_ops += cost.ops;
-    stats
 }
 
 #[cfg(test)]

@@ -23,7 +23,10 @@
 //!
 //! Per batch: `batch` ⊃ { `ingest`, `seal`, `query` (one per registered
 //! query) ⊃ { `delta_build` ⊃ { `freq_est`, `data_copy` }, `matching` ⊃
-//! { `dm_i` (one per delta-plan level), `merge` } }, `reorganize` }.
+//! { `dm_i`, `merge` } }, `reorganize` }. The GPU kernel emits one `dm_i`
+//! per launch, its `count` the launch's (plan × seed) tasks; the CPU
+//! reference driver (`match_incremental`) emits one per delta-plan level,
+//! with `level = i`.
 //! Sharded pipelines add a `route` span after `seal` and run each shard's
 //! engine spans inside a `shard_match` span. Stream mode adds `window`
 //! spans covering each batch's open-to-seal interval. Delta-cache mode

@@ -23,7 +23,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 pub struct SpanArgs {
     /// Batch index the span belongs to.
     pub batch: Option<u64>,
-    /// Delta-plan level for `dm_i` spans.
+    /// Delta-plan level for the CPU driver's per-level `dm_i` spans.
     pub level: Option<u32>,
     /// Free count: updates ingested, tasks merged, lists rebuilt…
     pub count: Option<u64>,
