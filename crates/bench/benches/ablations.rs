@@ -6,10 +6,12 @@
 //! * estimator walk budget `M` (Eq. (5) trade-off);
 //! * the incremental GPU kernel on one skewed Q4 batch (seed-group executor,
 //!   DESIGN.md §17);
+//! * estimation plus the kernel on one road Q1 shard batch, as two passes
+//!   and as GCSM's one host pass (DESIGN.md §18);
 //! * graph reorganisation (Table III's wall-clock counterpart).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gcsm::kernel::run_gpu_kernel_with_plans;
+use gcsm::kernel::{finish_launch, run_gpu_kernel_with_plans};
 use gcsm::sources::CachedSource;
 use gcsm::EngineConfig;
 use gcsm_bench::{RunConfig, Workload};
@@ -18,11 +20,14 @@ use gcsm_datagen::road::{self, RoadConfig};
 use gcsm_datagen::social::{generate_social, SocialConfig};
 use gcsm_datagen::{Preset, StreamConfig, UpdateStream};
 use gcsm_freq::{
-    estimate_merged, estimate_naive, recommended_walks, select_top_frequency, WalkParams,
+    estimate_and_match, estimate_merged, estimate_naive, recommended_walks, select_top_frequency,
+    FreqEstimate, PassOptions, WalkParams,
 };
 use gcsm_gpusim::Device;
 use gcsm_graph::DynamicGraph;
-use gcsm_matcher::{match_incremental, DriverOptions, DynSource, EnumeratorKind, IntersectAlgo};
+use gcsm_matcher::{
+    match_incremental, DriverOptions, DynSource, EnumeratorKind, IntersectAlgo, ReadTallies,
+};
 use gcsm_pattern::{compile_incremental, queries, PlanOptions};
 use gcsm_shard::{route, PartitionPolicy, Partitioning};
 
@@ -151,6 +156,56 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `road_sharded` shard batch (Q1, the engine's walk budget and cache
+/// selection) through estimation plus the kernel, as two passes
+/// (`estimate_merged`, then `run_gpu_kernel_with_plans` over the cached
+/// source) and as GCSM's one host pass (`estimate_and_match`, then the
+/// tallied reads charged to the same cache).
+fn bench_fused(c: &mut Criterion) {
+    let (g, batch) = road_shard_batch();
+    let q = queries::q1();
+    let cfg = EngineConfig::default();
+    let plans = compile_incremental(&q, cfg.plan);
+    let d = g.max_degree_bound();
+    let params = WalkParams {
+        walks: recommended_walks(q.num_vertices(), batch.len(), d),
+        seed: cfg.walk_seed,
+    };
+    let host = DynSource::new(&g);
+    let est = estimate_merged(&host, &plans, &batch, d, &params);
+    let selection = select_top_frequency(&est, cfg.gpu.cache_budget(), |v| g.list_bytes(v));
+    let dcsr = Dcsr::pack(&g, &selection.vertices);
+    let mut group = c.benchmark_group("ablation_fused");
+    group.sample_size(15);
+    group.bench_function("road_q1_two_passes", |b| {
+        b.iter(|| {
+            let est = estimate_merged(&host, &plans, &batch, d, &params);
+            let device = Device::new(cfg.gpu);
+            let src = CachedSource { graph: &g, device: &device, dcsr: &dcsr };
+            let run = run_gpu_kernel_with_plans(&device, &src, &plans, &batch, &cfg);
+            (est.walk_ops, run.stats.matches)
+        });
+    });
+    let mut reads = ReadTallies::default();
+    let mut spent = Some(FreqEstimate::default());
+    group.bench_function("road_q1_one_pass", |b| {
+        b.iter(|| {
+            let opts = PassOptions { algo: cfg.algo, parallel: cfg.parallel_kernel };
+            let recycled = spent.take().unwrap_or_default();
+            let pass =
+                estimate_and_match(recycled, &host, &plans, &batch, d, &params, opts, &reads);
+            let device = Device::new(cfg.gpu);
+            let src = CachedSource { graph: &g, device: &device, dcsr: &dcsr };
+            src.charge_tallied(&mut reads, cfg.parallel_kernel);
+            let run = finish_launch(&device, &pass.tasks, &cfg);
+            let walk_ops = pass.estimate.walk_ops;
+            spent = Some(pass.estimate);
+            (walk_ops, run.stats.matches)
+        });
+    });
+    group.finish();
+}
+
 fn bench_reorganize(c: &mut Criterion) {
     let rc = RunConfig { scale: 0.25, max_batches: 1, ..Default::default() };
     let mut group = c.benchmark_group("table3_reorganize_wall");
@@ -199,6 +254,7 @@ criterion_group!(
     bench_enumerators,
     bench_walk_strategies,
     bench_kernel,
+    bench_fused,
     bench_reorganize
 );
 criterion_main!(benches);

@@ -9,21 +9,31 @@
 //! 3. **Match** — the incremental kernel runs with cache-hit reads from
 //!    device memory and zero-copy fallback for misses.
 //!
+//! The walks sample the kernel's own execution tree, so steps 1 and 3 run
+//! as one host pass ([`gcsm_freq::estimate_and_match`], DESIGN.md §18): the
+//! kernel's tasks enumerate over the host graph while the walks draw inside
+//! their DFS, and the kernel's view reads are tallied. After the DMA the
+//! tallies are charged to the chosen cache by `CachedSource`'s per-read
+//! rule and the launch is closed, so every modeled phase, the traffic and
+//! the stats are those of running the kernel over the cache. Adaptive
+//! extra rounds resample the estimate alone.
+//!
 //! FE and host-side packing are CPU work, charged at CPU compute/bandwidth
 //! cost; everything else comes out of the recorded traffic.
 
 use super::{Engine, Measurer};
 use crate::config::EngineConfig;
-use crate::kernel::run_gpu_kernel_with_plans;
+use crate::kernel::finish_launch;
 use crate::result::{BatchResult, PhaseBreakdown};
 use crate::sources::CachedSource;
 use gcsm_cache::{Dcsr, DeltaPlan, DeltaPlanner};
 use gcsm_freq::{
-    estimate_merged, recommended_walks, select_top_frequency, FreqEstimate, WalkParams,
+    estimate_and_match, estimate_merged_into, recommended_walks, select_top_frequency,
+    FreqEstimate, PassOptions, WalkParams,
 };
 use gcsm_gpusim::Device;
 use gcsm_graph::{DynamicGraph, EdgeUpdate};
-use gcsm_matcher::DynSource;
+use gcsm_matcher::{DynSource, ReadTallies};
 use gcsm_pattern::{compile_incremental, compile_incremental_scored, QueryGraph};
 
 /// The GCSM engine.
@@ -40,6 +50,8 @@ pub struct GcsmEngine {
     planner: DeltaPlanner,
     /// Transfer plan of the most recent delta-cached batch.
     last_plan: Option<DeltaPlan>,
+    /// Per-worker view-read tallies of the host pass, kept across batches.
+    reads: ReadTallies,
 }
 
 impl GcsmEngine {
@@ -53,6 +65,7 @@ impl GcsmEngine {
             last_walks: 0,
             planner: DeltaPlanner::new(),
             last_plan: None,
+            reads: ReadTallies::default(),
         }
     }
 
@@ -138,56 +151,59 @@ impl Engine for GcsmEngine {
         let d = graph.max_degree_bound();
         let recommended = self.walks(query, batch.len(), d);
         let host_src = DynSource::new(graph);
-        let est = if self.cfg.adaptive_walks {
-            // Sec. IV-A's adaptive loop: start small, check Eq. (5)
-            // against the smallest estimated frequency, resample if the
-            // confidence target is unmet.
-            let mut walks = (recommended / 4).max(64);
-            let mut round = 0;
-            loop {
-                let est = estimate_merged(
-                    &host_src,
-                    &plans,
-                    batch,
-                    d,
-                    &WalkParams { walks, seed: self.cfg.walk_seed + round as u64 },
-                );
-                self.last_walks = walks;
-                round += 1;
-                if round >= EngineConfig::ADAPTIVE_MAX_ROUNDS {
-                    break est;
-                }
-                let Some(min_freq) = est.min_nonzero() else { break est };
-                match gcsm_freq::adaptive_walk_target(
-                    query.num_vertices(),
-                    EngineConfig::ADAPTIVE_ALPHA,
-                    batch.len().max(1),
-                    d,
-                    EngineConfig::ADAPTIVE_CONFIDENCE,
-                    min_freq,
-                    walks,
-                ) {
-                    Ok(()) => break est,
-                    Err(need) => {
-                        let capped = need.min(recommended * 4);
-                        if capped <= walks {
-                            break est;
-                        }
-                        phases.freq_est += est.walk_ops as f64 * self.cfg.gpu.walk_op_cost;
-                        walks = capped;
-                    }
-                }
-            }
-        } else {
-            self.last_walks = recommended;
-            estimate_merged(
+        // Sec. IV-A's adaptive loop starts small, checks Eq. (5) against the
+        // smallest estimated frequency and resamples if the confidence
+        // target is unmet.
+        let mut walks =
+            if self.cfg.adaptive_walks { (recommended / 4).max(64) } else { recommended };
+        // One host pass: the first round's walks and the kernel's whole
+        // execution tree, its view reads tallied for charging once the cache
+        // is chosen.
+        let pass = {
+            let mut span = gcsm_obs::span("dm_i", gcsm_obs::cat::MATCHER);
+            span.set_count((plans.len() * batch.len() * 2) as u64);
+            estimate_and_match(
+                self.last_estimate.take().unwrap_or_default(),
                 &host_src,
                 &plans,
                 batch,
                 d,
-                &WalkParams { walks: recommended, seed: self.cfg.walk_seed },
+                &WalkParams { walks, seed: self.cfg.walk_seed },
+                PassOptions { algo: self.cfg.algo, parallel: self.cfg.parallel_kernel },
+                &self.reads,
             )
         };
+        let mut est = pass.estimate;
+        let mut round = 0usize;
+        loop {
+            self.last_walks = walks;
+            round += 1;
+            if !self.cfg.adaptive_walks || round >= EngineConfig::ADAPTIVE_MAX_ROUNDS {
+                break;
+            }
+            let Some(min_freq) = est.min_nonzero() else { break };
+            let need = match gcsm_freq::adaptive_walk_target(
+                query.num_vertices(),
+                EngineConfig::ADAPTIVE_ALPHA,
+                batch.len().max(1),
+                d,
+                EngineConfig::ADAPTIVE_CONFIDENCE,
+                min_freq,
+                walks,
+            ) {
+                Ok(()) => break,
+                Err(need) => need.min(recommended * 4),
+            };
+            if need <= walks {
+                break;
+            }
+            phases.freq_est += est.walk_ops as f64 * self.cfg.gpu.walk_op_cost;
+            walks = need;
+            // Extra rounds only resample the estimate; the kernel ran above.
+            let seed = self.cfg.walk_seed.wrapping_add(round as u64);
+            est =
+                estimate_merged_into(est, &host_src, &plans, batch, d, &WalkParams { walks, seed });
+        }
         phases.freq_est += est.walk_ops as f64 * self.cfg.gpu.walk_op_cost;
         drop(fe_span);
         let dc_span = gcsm_obs::span("data_copy", gcsm_obs::cat::ENGINE);
@@ -230,11 +246,13 @@ impl Engine for GcsmEngine {
         drop(dc_span);
         drop(delta_span);
 
-        // ---- Step 4: the matching kernel (same plans the walks sampled) ----
+        // ---- Step 4: the matching kernel (it ran in the host pass) ----
+        // Charge its view reads to the chosen cache, then its launch.
         let src = CachedSource { graph, device: &self.device, dcsr: &dcsr };
         let run = {
             let _span = gcsm_obs::span("matching", gcsm_obs::cat::ENGINE);
-            run_gpu_kernel_with_plans(&self.device, &src, &plans, batch, &self.cfg)
+            src.charge_tallied(&mut self.reads, self.cfg.parallel_kernel);
+            finish_launch(&self.device, &pass.tasks, &self.cfg)
         };
         // Stretch the kernel's time by the grid load-imbalance factor of
         // the configured scheduling policy (1.0 under perfect balance).

@@ -1,9 +1,15 @@
 //! The shared "GPU kernel": incremental matching over a batch, executed on
 //! the simulated grid.
 //!
-//! Every GPU engine (GCSM, ZP, UM, VSGM, Naive) runs this exact function —
-//! the STMatch-adapted kernel of Sec. V-C — against a different
-//! [`gcsm_matcher::NeighborSource`]. The work items are the oriented seeds
+//! Every GPU engine (ZP, UM, VSGM, Naive) runs this exact function — the
+//! STMatch-adapted kernel of Sec. V-C — against a different
+//! [`gcsm_matcher::NeighborSource`]. GCSM runs the same executor inside its
+//! host pass (`gcsm_freq::estimate_and_match`, DESIGN.md §18), which also
+//! draws the Sec. IV-B walks and tallies the kernel's view reads; once the
+//! cache is chosen it charges the tallies through
+//! [`crate::sources::CachedSource::charge_tallied`] and closes the launch
+//! with [`finish_launch`], so its traffic, stats and imbalance are the ones
+//! this function records over a `CachedSource`. The work items are the oriented seeds
 //! (batch edge × orientation): each runs every delta plan on its seed
 //! through [`gcsm_matcher::run_seed`], which shares the subtrees of plans
 //! that agree below level 0 (DESIGN.md §17). The pool splits the seed list
@@ -16,6 +22,8 @@
 //! written back to its plan-major index `pi·2|ΔE| + 2e + o`, so the
 //! per-task cost vector, and with it the imbalance factor, is the one a
 //! per-task launch records. Compute is charged to the device as `gpu_ops`.
+//! [`run_gpu_kernel_with_plans`] is [`delta_task_stats`] (the `dm_i` span)
+//! followed by [`finish_launch`] (the `merge` span).
 
 use crate::config::EngineConfig;
 use gcsm_gpusim::Device;
@@ -59,20 +67,28 @@ pub fn run_gpu_kernel_with_plans<S: NeighborSource>(
     batch: &[EdgeUpdate],
     cfg: &EngineConfig,
 ) -> KernelRun {
-    device.traffic().add_kernel_launches(1);
     let per_task = {
         let mut span = gcsm_obs::span("dm_i", gcsm_obs::cat::MATCHER);
         span.set_count((plans.len() * batch.len() * 2) as u64);
         delta_task_stats(src, plans, batch, cfg)
     };
+    finish_launch(device, &per_task, cfg)
+}
+
+/// Close a launch whose tasks have run (their view reads already charged):
+/// charge the launch and its set-op compute to `device`, and fold the
+/// per-task stats (in [`delta_task_stats`]' order) into the aggregate and
+/// the grid's imbalance factor.
+pub fn finish_launch(device: &Device, per_task: &[MatchStats], cfg: &EngineConfig) -> KernelRun {
     let mut merge_span = gcsm_obs::span("merge", gcsm_obs::cat::MATCHER);
     merge_span.set_count(per_task.len() as u64);
     // Per-task cost (intersect ops + list accesses as a proxy for the
     // task's memory time) for the load-balance model.
     let costs: Vec<u64> = per_task.iter().map(|s| s.intersect_ops + s.list_accesses).collect();
     let imbalance = gcsm_gpusim::imbalance_factor(&costs, cfg.gpu.num_blocks, cfg.scheduling);
-    let stats = per_task.into_iter().sum::<MatchStats>();
+    let stats = per_task.iter().copied().sum::<MatchStats>();
     drop(merge_span);
+    device.traffic().add_kernel_launches(1);
     device.gpu_ops(stats.intersect_ops);
     KernelRun { stats, imbalance }
 }

@@ -16,9 +16,9 @@
 
 use crate::addr::AddrMap;
 use gcsm_cache::Dcsr;
-use gcsm_gpusim::{AccessPath, Device};
+use gcsm_gpusim::{AccessPath, Device, GpuConfig};
 use gcsm_graph::{DynamicGraph, Label, NeighborView, VertexId};
-use gcsm_matcher::NeighborSource;
+use gcsm_matcher::{NeighborSource, ReadTallies};
 use gcsm_pattern::ViewSel;
 
 const W: usize = std::mem::size_of::<u32>();
@@ -107,17 +107,28 @@ pub struct CachedSource<'a> {
     pub dcsr: &'a Dcsr,
 }
 
-impl NeighborSource for CachedSource<'_> {
+impl CachedSource<'_> {
+    /// The per-read rule of Sec. V-C: charge `reads` reads of `(v, sel)` to
+    /// `sink` and return `v`'s cache row. Every read pays the kernel's
+    /// `rowidx` binary search (`log2(len)` ops, charged as device compute;
+    /// `find` itself is an O(1) host index read with the same result). A
+    /// hit reads the row from device memory, a miss falls back to
+    /// zero-copy. [`NeighborSource::view`] charges one read through here
+    /// and [`Self::charge_tallied`] charges counted reads, so the two paths
+    /// cannot drift.
     #[inline]
-    fn view(&self, v: VertexId, sel: ViewSel) -> NeighborView<'_> {
-        // The per-access rowidx binary search the kernel performs
-        // (Sec. V-C); charged as device compute. `find` itself is an O(1)
-        // host index read with the same result.
+    fn charge<K: ChargeSink>(
+        &self,
+        v: VertexId,
+        sel: ViewSel,
+        reads: u64,
+        sink: &mut K,
+    ) -> Option<usize> {
         let lookup_ops = (usize::BITS - self.dcsr.len().max(1).leading_zeros()) as u64;
-        self.device.gpu_ops(lookup_ops);
-        match self.dcsr.find(v) {
+        sink.gpu_ops(lookup_ops * reads);
+        let row = self.dcsr.find(v);
+        match row {
             Some(row) => {
-                self.device.record_cache_lookup(true);
                 let bytes = match sel {
                     ViewSel::Old => {
                         let (prefix, _) = self.dcsr.segments(row);
@@ -125,14 +136,124 @@ impl NeighborSource for CachedSource<'_> {
                     }
                     ViewSel::New => self.dcsr.row_bytes(row),
                 };
-                self.device.read_list(AccessPath::DeviceCache, 0, bytes);
-                self.dcsr.view(row, matches!(sel, ViewSel::Old))
+                sink.lists(true, bytes, reads);
             }
-            None => {
-                self.device.record_cache_lookup(false);
-                self.device.read_list(AccessPath::ZeroCopy, 0, view_bytes(self.graph, v, sel));
-                dyn_view(self.graph, v, sel)
-            }
+            None => sink.lists(false, view_bytes(self.graph, v, sel), reads),
+        }
+        row
+    }
+
+    /// Charge every read counted in `tallies` (which are drained): the
+    /// device ends up charged as if each read had gone through
+    /// [`NeighborSource::view`]. Without tracing each tally's charges are
+    /// summed on the host — one tally per pool task when `parallel` is set
+    /// — and added once; with tracing every read is replayed, so each
+    /// records its event, grouped per (vertex, view) rather than in read
+    /// order.
+    pub fn charge_tallied(&self, tallies: &mut ReadTallies, parallel: bool) {
+        if self.device.trace().enabled() {
+            let mut device = self.device;
+            tallies.drain(|v, sel, reads| {
+                self.charge(v, sel, reads, &mut device);
+            });
+            return;
+        }
+        let config = *self.device.config();
+        let sums = tallies.drain_each(
+            parallel,
+            || Summed::new(config),
+            |sum, tally| {
+                tally.drain(|v, sel, reads| {
+                    self.charge(v, sel, reads, sum);
+                });
+            },
+        );
+        for sum in sums {
+            sum.post(self.device);
+        }
+    }
+}
+
+/// Receives the charges of [`CachedSource`]'s per-read rule.
+trait ChargeSink {
+    /// `n` device ops.
+    fn gpu_ops(&mut self, n: u64);
+    /// `n` cache lookups that each read a `bytes`-byte list: from the
+    /// device cache on a hit, over zero-copy on a miss.
+    fn lists(&mut self, hit: bool, bytes: usize, n: u64);
+}
+
+impl ChargeSink for &Device {
+    #[inline]
+    fn gpu_ops(&mut self, n: u64) {
+        Device::gpu_ops(self, n);
+    }
+
+    #[inline]
+    fn lists(&mut self, hit: bool, bytes: usize, n: u64) {
+        self.record_cache_lookups(hit, n);
+        let path = if hit { AccessPath::DeviceCache } else { AccessPath::ZeroCopy };
+        for _ in 0..n {
+            self.read_list(path, 0, bytes);
+        }
+    }
+}
+
+/// Charges summed on the host, then added to the device once.
+struct Summed {
+    config: GpuConfig,
+    gpu_ops: u64,
+    hits: u64,
+    misses: u64,
+    device_bytes: u64,
+    zerocopy_bytes: u64,
+    zerocopy_transactions: u64,
+}
+
+impl ChargeSink for Summed {
+    #[inline]
+    fn gpu_ops(&mut self, n: u64) {
+        self.gpu_ops += n;
+    }
+
+    #[inline]
+    fn lists(&mut self, hit: bool, bytes: usize, n: u64) {
+        if hit {
+            self.hits += n;
+            self.device_bytes += bytes as u64 * n;
+        } else {
+            self.misses += n;
+            self.zerocopy_bytes += bytes as u64 * n;
+            self.zerocopy_transactions += self.config.zerocopy_transactions(bytes) * n;
+        }
+    }
+}
+
+impl Summed {
+    fn new(config: GpuConfig) -> Self {
+        let (gpu_ops, hits, misses, device_bytes, zerocopy_bytes, zerocopy_transactions) =
+            Default::default();
+        Self { config, gpu_ops, hits, misses, device_bytes, zerocopy_bytes, zerocopy_transactions }
+    }
+
+    fn post(&self, device: &Device) {
+        let traffic = device.traffic();
+        traffic.add_gpu_ops(self.gpu_ops);
+        traffic.add_cache_hits(self.hits);
+        traffic.add_cache_misses(self.misses);
+        traffic.add_device_bytes(self.device_bytes);
+        traffic.add_zerocopy_bytes(self.zerocopy_bytes);
+        traffic.add_zerocopy_transactions(self.zerocopy_transactions);
+    }
+}
+
+impl NeighborSource for CachedSource<'_> {
+    #[inline]
+    fn view(&self, v: VertexId, sel: ViewSel) -> NeighborView<'_> {
+        let mut device = self.device;
+        match self.charge(v, sel, 1, &mut device) {
+            Some(row) => self.dcsr.view(row, matches!(sel, ViewSel::Old)),
+            None => dyn_view(self.graph, v, sel),
         }
     }
 

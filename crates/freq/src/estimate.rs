@@ -49,14 +49,51 @@ impl FreqEstimate {
     }
 
     /// An estimate whose nonzero entries are exactly `touched` (ascending).
+    #[cfg(test)]
     pub(crate) fn with_touched(freq: Vec<f64>, touched: Vec<VertexId>, walk_ops: u64) -> Self {
         debug_assert!(touched.windows(2).all(|w| w[0] < w[1]), "touched list not ascending");
         Self { freq, walk_ops, touched: Some(touched) }
     }
 
+    /// This estimate's allocation as an all-zero estimate over `n` vertices
+    /// with an empty touched list: a recorded touched list zeroes just its
+    /// slots; otherwise `freq` is refilled (same length) or reallocated.
+    pub(crate) fn reset(mut self, n: usize) -> Self {
+        let mut touched = match self.touched.take() {
+            Some(touched) if self.freq.len() == n => {
+                for &v in &touched {
+                    if let Some(f) = self.freq.get_mut(v as usize) {
+                        *f = 0.0;
+                    }
+                }
+                touched
+            }
+            _ if self.freq.len() == n => {
+                self.freq.fill(0.0);
+                Vec::new()
+            }
+            _ => {
+                self.freq = vec![0.0; n];
+                Vec::new()
+            }
+        };
+        touched.clear();
+        Self { freq: self.freq, walk_ops: 0, touched: Some(touched) }
+    }
+
+    /// Fill this all-zero estimate through `f(freq, touched)`, which pushes
+    /// every slot it makes nonzero onto `touched` once; the list is then
+    /// sorted and kept.
+    pub(crate) fn record_touched(&mut self, f: impl FnOnce(&mut [f64], &mut Vec<VertexId>)) {
+        let mut touched = self.touched.take().unwrap_or_default();
+        f(&mut self.freq, &mut touched);
+        touched.sort_unstable();
+        self.touched = Some(touched);
+    }
+
     /// Vertices the estimate may be nonzero at, ascending: the recorded
     /// touched list, or a scan of `freq` for an estimate without one.
-    pub(crate) fn touched(&self) -> Cow<'_, [VertexId]> {
+    pub fn touched(&self) -> Cow<'_, [VertexId]> {
         match &self.touched {
             Some(t) => Cow::Borrowed(t),
             None => Cow::Owned(

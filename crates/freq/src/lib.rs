@@ -53,13 +53,15 @@
 
 mod binomial;
 pub mod estimate;
+pub mod fused;
 pub mod merged;
 pub mod naive;
 pub mod select;
 pub mod theory;
 
 pub use estimate::{FreqEstimate, WalkParams};
-pub use merged::estimate_merged;
+pub use fused::{estimate_and_match, BatchPass, PassOptions};
+pub use merged::{estimate_merged, estimate_merged_into};
 pub use naive::estimate_naive;
 pub use select::{select_by_degree, select_top_frequency, CacheSelection};
 pub use theory::{adaptive_walk_target, min_walks, misrank_bound, recommended_walks};

@@ -138,13 +138,14 @@ impl Device {
         }
     }
 
-    /// Record a cache lookup outcome (for hit-rate reporting).
+    /// Record `n` cache lookups with the same outcome (for hit-rate
+    /// reporting).
     #[inline]
-    pub fn record_cache_lookup(&self, hit: bool) {
+    pub fn record_cache_lookups(&self, hit: bool, n: u64) {
         if hit {
-            self.traffic.add_cache_hits(1);
+            self.traffic.add_cache_hits(n);
         } else {
-            self.traffic.add_cache_misses(1);
+            self.traffic.add_cache_misses(n);
         }
     }
 

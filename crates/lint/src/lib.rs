@@ -51,7 +51,9 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/core/src/engines/",
     "crates/cache/src/delta.rs",
     "crates/freq/src/merged.rs",
+    "crates/freq/src/fused.rs",
     "crates/freq/src/binomial.rs",
+    "crates/matcher/src/reads.rs",
 ];
 
 /// Scopes where `Ordering::Relaxed` requires a justification comment.

@@ -21,10 +21,10 @@
 //! than plan order), which moves nothing but order-sensitive models such as
 //! an LRU page cache.
 
-use crate::enumerate::{gen_candidates, seed_admissible};
+use crate::enumerate::{gen_candidates_logged, seed_admissible};
 use crate::intersect::{CostCounter, IntersectAlgo};
 use crate::source::NeighborSource;
-use crate::stack::{match_from_seed_stack, run_levels, StackScratch};
+use crate::stack::{run_levels, seed_stack, NoHook, NodeHook, StackScratch};
 use crate::stats::MatchStats;
 use gcsm_graph::VertexId;
 use gcsm_pattern::{LevelPlan, MatchPlan, ViewSel};
@@ -104,14 +104,16 @@ impl PlanGroups {
 }
 
 /// Reusable per-worker buffers of [`run_seed`]: the frame stack below level
-/// 0, one level-0 candidate list and cursor per group member, and the view
-/// log of the current shared subtree. Reused across seeds, so a warm
-/// scratch makes a seed allocation-free.
+/// 0, one level-0 candidate list and cursor per group member, the owners of
+/// the current level-0 candidate, and the view log of the current shared
+/// subtree. Reused across seeds, so a warm scratch makes a seed
+/// allocation-free.
 #[derive(Default)]
 pub struct SeedScratch {
     stack: StackScratch,
     level0: Vec<Vec<VertexId>>,
     cursors: Vec<usize>,
+    owners: Vec<usize>,
     log: Vec<(VertexId, ViewSel)>,
 }
 
@@ -132,6 +134,29 @@ pub fn run_seed<S: NeighborSource>(
     scratch: &mut SeedScratch,
     out: &mut [MatchStats],
 ) {
+    run_seed_hooked(src, plans, groups, a, b, sign, algo, scratch, out, &mut NoHook);
+}
+
+/// [`run_seed`] reporting the seed's execution trees to `hook`. Before each
+/// plan's own nodes — a singleton plan's whole tree, or a group member's
+/// level 0 — the hook learns that plan as the sole owner; before each
+/// shared level-0 candidate's subtree it learns every member holding the
+/// candidate. Nodes arrive in DFS preorder per owner, and every view read
+/// issued to `src` (replays included) is reported once. A hook that skips
+/// nodes leaves the skipped plans' `out` slots short of their full stats.
+#[allow(clippy::too_many_arguments)]
+pub fn run_seed_hooked<S: NeighborSource, H: NodeHook>(
+    src: &S,
+    plans: &[MatchPlan],
+    groups: &PlanGroups,
+    a: VertexId,
+    b: VertexId,
+    sign: i64,
+    algo: IntersectAlgo,
+    scratch: &mut SeedScratch,
+    out: &mut [MatchStats],
+    hook: &mut H,
+) {
     out.fill(MatchStats::default());
     let width = groups.max_len();
     if scratch.level0.len() < width {
@@ -143,13 +168,42 @@ pub fn run_seed<S: NeighborSource>(
             // A plan that shares nothing runs as the per-plan enumerator.
             [pi] => {
                 if let (Some(plan), Some(slot)) = (plans.get(pi), out.get_mut(pi)) {
+                    hook.owners(group);
                     let stack = &mut scratch.stack;
-                    *slot =
-                        match_from_seed_stack(src, plan, a, b, sign, algo, stack, &mut |_, _| {});
+                    *slot = seed_stack(src, plan, a, b, sign, algo, stack, &mut |_, _| {}, hook);
                 }
             }
-            _ => run_group(src, plans, group, a, b, sign, algo, scratch, out),
+            _ => run_group(src, plans, group, a, b, sign, algo, scratch, out, hook),
         }
+    }
+}
+
+/// Forwards to `inner` and also logs every view read.
+struct Logged<'a, H> {
+    inner: &'a mut H,
+    log: &'a mut Vec<(VertexId, ViewSel)>,
+}
+
+impl<H: NodeHook> NodeHook for Logged<'_, H> {
+    #[inline(always)]
+    fn owners(&mut self, owners: &[usize]) {
+        self.inner.owners(owners);
+    }
+
+    #[inline(always)]
+    fn enter(&mut self, level: usize) -> bool {
+        self.inner.enter(level)
+    }
+
+    #[inline(always)]
+    fn visit(&mut self, level: usize, bound: &[VertexId], ops: u64) {
+        self.inner.visit(level, bound, ops);
+    }
+
+    #[inline(always)]
+    fn read(&mut self, v: VertexId, sel: ViewSel) {
+        self.inner.read(v, sel);
+        self.log.push((v, sel));
     }
 }
 
@@ -158,7 +212,7 @@ pub fn run_seed<S: NeighborSource>(
 /// level-0 sets that runs each distinct candidate's subtree once. Grouped
 /// plans have a level below level 0 (see [`same_suffix`]).
 #[allow(clippy::too_many_arguments)]
-fn run_group<S: NeighborSource>(
+fn run_group<S: NeighborSource, H: NodeHook>(
     src: &S,
     plans: &[MatchPlan],
     group: &[usize],
@@ -168,8 +222,9 @@ fn run_group<S: NeighborSource>(
     algo: IntersectAlgo,
     scratch: &mut SeedScratch,
     out: &mut [MatchStats],
+    hook: &mut H,
 ) {
-    let SeedScratch { stack, level0, cursors, log } = scratch;
+    let SeedScratch { stack, level0, cursors, owners, log } = scratch;
     let Some(leader) = group.first().and_then(|&pi| plans.get(pi)) else {
         debug_assert!(false, "empty plan group");
         return;
@@ -178,66 +233,70 @@ fn run_group<S: NeighborSource>(
     stack.bound.push(a);
     stack.bound.push(b);
     // Level 0, per member: admissibility, candidates, cost and accesses.
-    for ((&pi, cands), cursor) in group.iter().zip(level0.iter_mut()).zip(cursors.iter_mut()) {
+    for ((pi, cands), cursor) in group.iter().zip(level0.iter_mut()).zip(cursors.iter_mut()) {
         cands.clear();
         *cursor = 0;
-        let (Some(plan), Some(slot)) = (plans.get(pi), out.get_mut(pi)) else {
+        let (Some(plan), Some(slot)) = (plans.get(*pi), out.get_mut(*pi)) else {
             debug_assert!(false, "group member out of range");
             continue;
         };
-        if !seed_admissible(src, plan, a, b) {
+        hook.owners(std::slice::from_ref(pi));
+        if !seed_admissible(src, plan, a, b) || !hook.enter(0) {
             continue;
         }
         let mut cost = CostCounter::default();
-        gen_candidates(src, plan, 0, &stack.bound, algo, cands, &mut cost, slot);
+        let read = &mut |v, sel| hook.read(v, sel);
+        gen_candidates_logged(src, plan, 0, &stack.bound, algo, cands, &mut cost, slot, read);
+        hook.visit(0, &stack.bound, cost.ops);
         slot.intersect_ops += cost.ops;
     }
     let k = group.len().min(level0.len());
     loop {
-        // The smallest head among the members' sorted level-0 sets, and how
-        // many members hold it.
+        // The smallest head among the members' sorted level-0 sets, and the
+        // members that hold it.
         let mut next: Option<VertexId> = None;
-        let mut owners = 0usize;
         for (cands, &cursor) in level0.iter().zip(cursors.iter()).take(k) {
             match (cands.get(cursor), next) {
-                (Some(&c), Some(n)) if c == n => owners += 1,
-                (Some(&c), Some(n)) if c > n => {}
-                (Some(&c), _) => (next, owners) = (Some(c), 1),
+                (Some(&c), Some(n)) if c >= n => {}
+                (Some(&c), _) => next = Some(c),
                 (None, _) => {}
             }
         }
         let Some(c) = next else { break };
+        owners.clear();
+        for ((&pi, cands), cursor) in group.iter().zip(level0.iter()).zip(cursors.iter_mut()) {
+            if cands.get(*cursor) == Some(&c) {
+                *cursor += 1;
+                owners.push(pi);
+            }
+        }
+        hook.owners(owners);
         stack.bound.push(c);
         let mut cost = CostCounter::default();
         let mut sub = MatchStats::default();
         log.clear();
         // Only a subtree with more than one owner logs its reads.
-        let (no_emit, no_log) = (&mut |_: &[VertexId], _| {}, &mut |_, _| {});
-        if owners > 1 {
-            let log_view = &mut |v, sel| log.push((v, sel));
-            run_levels(src, leader, sign, algo, stack, &mut cost, &mut sub, no_emit, log_view);
+        let no_emit = &mut |_: &[VertexId], _| {};
+        if owners.len() > 1 {
+            let logged = &mut Logged { inner: &mut *hook, log: &mut *log };
+            run_levels(src, leader, sign, algo, stack, &mut cost, &mut sub, no_emit, logged);
         } else {
-            run_levels(src, leader, sign, algo, stack, &mut cost, &mut sub, no_emit, no_log);
+            run_levels(src, leader, sign, algo, stack, &mut cost, &mut sub, no_emit, hook);
         }
         stack.bound.pop();
         sub.intersect_ops += cost.ops;
         // Credit every owner; replay the subtree's reads for all but the
         // first, so the source is charged once per owning plan.
-        let mut first = true;
-        for ((&pi, cands), cursor) in group.iter().zip(level0.iter()).zip(cursors.iter_mut()) {
-            if cands.get(*cursor) != Some(&c) {
-                continue;
-            }
-            *cursor += 1;
+        for (i, &pi) in owners.iter().enumerate() {
             if let Some(slot) = out.get_mut(pi) {
                 slot.merge(sub);
             }
-            if !first {
+            if i > 0 {
                 for &(v, sel) in log.iter() {
                     src.view(v, sel);
+                    hook.read(v, sel);
                 }
             }
-            first = false;
         }
     }
 }
@@ -246,6 +305,7 @@ fn run_group<S: NeighborSource>(
 mod tests {
     use super::*;
     use crate::source::DynSource;
+    use crate::stack::match_from_seed_stack;
     use gcsm_graph::{CsrGraph, DynamicGraph, EdgeUpdate};
     use gcsm_pattern::{compile_incremental, queries, PlanOptions};
     use rand::{rngs::SmallRng, Rng, SeedableRng};

@@ -21,6 +21,8 @@
 //! * [`driver`] — whole-task entry points: static matching over all graph
 //!   edges and incremental matching over a batch `ΔE` (running all `m`
 //!   delta plans and summing signed counts, Eq. (1)).
+//! * [`reads`] — per-(vertex, view) read counts of a launch, for charging
+//!   a device cache that is chosen after the reads happened.
 //! * [`access`] — per-vertex access-frequency instrumentation: the *oracle*
 //!   the paper's Fig. 15 compares the random-walk estimator against.
 
@@ -45,6 +47,7 @@ pub mod enumerate;
 pub mod group;
 pub mod intersect;
 pub mod limit;
+pub mod reads;
 pub mod source;
 pub mod stack;
 pub mod stats;
@@ -55,9 +58,10 @@ pub use driver::{
     EnumeratorKind,
 };
 pub use enumerate::{gen_candidates, match_from_seed, seed_admissible, Scratch};
-pub use group::{run_seed, PlanGroups, SeedScratch};
+pub use group::{run_seed, run_seed_hooked, PlanGroups, SeedScratch};
 pub use intersect::{CostCounter, IntersectAlgo};
 pub use limit::{match_incremental_limited, LimitedResult};
+pub use reads::{ReadTallies, ReadTally, TallyLease};
 pub use source::{CsrSource, DynSource, NeighborSource, RecordingSource};
-pub use stack::{match_from_seed_stack, StackScratch};
+pub use stack::{match_from_seed_stack, NoHook, NodeHook, StackScratch};
 pub use stats::MatchStats;

@@ -31,6 +31,40 @@ pub struct StackScratch {
     pub(crate) bound: Vec<VertexId>,
 }
 
+/// Observer of a seed's execution tree, driven by [`run_levels`] and the
+/// seed-group executor. The DFS announces which (plan, seed) walks own the
+/// nodes that follow, asks before it expands a node, reports each expanded
+/// node's set-op cost, and reports every view read it issues to the source.
+/// Every method defaults to doing nothing (expanding everything), so
+/// [`NoHook`] compiles away and the kernel pays nothing for the hook.
+pub trait NodeHook {
+    /// The nodes that follow belong to the plans `owners` (ascending plan
+    /// indices): one plan, or every plan that shares the coming subtree.
+    #[inline(always)]
+    fn owners(&mut self, _owners: &[usize]) {}
+
+    /// The DFS is about to expand the node at `level` (level 0 binds the
+    /// first vertex after the seed); `false` skips the node and its subtree.
+    #[inline(always)]
+    fn enter(&mut self, _level: usize) -> bool {
+        true
+    }
+
+    /// The node at `level` generated its candidate set over the bound prefix
+    /// `bound` at a model cost of `ops` set operations.
+    #[inline(always)]
+    fn visit(&mut self, _level: usize, _bound: &[VertexId], _ops: u64) {}
+
+    /// One view read issued to the source.
+    #[inline(always)]
+    fn read(&mut self, _v: VertexId, _sel: ViewSel) {}
+}
+
+/// The hook that observes nothing.
+pub struct NoHook;
+
+impl NodeHook for NoHook {}
+
 /// Iterative equivalent of [`crate::enumerate::match_from_seed`].
 #[allow(clippy::too_many_arguments)]
 pub fn match_from_seed_stack<S, F>(
@@ -47,6 +81,27 @@ where
     S: NeighborSource,
     F: FnMut(&[VertexId], i64),
 {
+    seed_stack(src, plan, x0, x1, sign, algo, scratch, emit, &mut NoHook)
+}
+
+/// [`match_from_seed_stack`] reporting to `hook`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn seed_stack<S, F, H>(
+    src: &S,
+    plan: &MatchPlan,
+    x0: VertexId,
+    x1: VertexId,
+    sign: i64,
+    algo: IntersectAlgo,
+    scratch: &mut StackScratch,
+    emit: &mut F,
+    hook: &mut H,
+) -> MatchStats
+where
+    S: NeighborSource,
+    F: FnMut(&[VertexId], i64),
+    H: NodeHook,
+{
     let mut stats = MatchStats::default();
     if !seed_admissible(src, plan, x0, x1) {
         return stats;
@@ -55,7 +110,7 @@ where
     scratch.bound.push(x0);
     scratch.bound.push(x1);
     let mut cost = CostCounter::default();
-    run_levels(src, plan, sign, algo, scratch, &mut cost, &mut stats, emit, &mut |_, _| {});
+    run_levels(src, plan, sign, algo, scratch, &mut cost, &mut stats, emit, hook);
     stats.intersect_ops += cost.ops;
     stats
 }
@@ -63,10 +118,10 @@ where
 /// The frame-stack DFS below the bound prefix: binds `plan.levels[start..]`
 /// where `start = scratch.bound.len() - 2` (the seed binds two vertices),
 /// emitting every complete match. Set-op work goes to `cost`, list accesses
-/// and matches to `stats`, and every view read to `log`. On return the bound
-/// prefix is as it was on entry.
+/// and matches to `stats`, and every node and view read to `hook`. On
+/// return the bound prefix is as it was on entry.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_levels<S, F, L>(
+pub(crate) fn run_levels<S, F, H>(
     src: &S,
     plan: &MatchPlan,
     sign: i64,
@@ -75,11 +130,11 @@ pub(crate) fn run_levels<S, F, L>(
     cost: &mut CostCounter,
     stats: &mut MatchStats,
     emit: &mut F,
-    log: &mut L,
+    hook: &mut H,
 ) where
     S: NeighborSource,
     F: FnMut(&[VertexId], i64),
-    L: FnMut(VertexId, ViewSel),
+    H: NodeHook,
 {
     let depth = plan.levels.len();
     let start = scratch.bound.len().saturating_sub(2);
@@ -88,6 +143,9 @@ pub(crate) fn run_levels<S, F, L>(
         // entered at its leaf).
         stats.matches += sign;
         emit(&scratch.bound, sign);
+        return;
+    }
+    if !hook.enter(start) {
         return;
     }
     if scratch.frames.len() < depth {
@@ -103,7 +161,10 @@ pub(crate) fn run_levels<S, F, L>(
             return;
         };
         let mut cands = std::mem::take(&mut frame.cands);
+        let before = cost.ops;
+        let log = &mut |v, sel| hook.read(v, sel);
         gen_candidates_logged(src, plan, start, &scratch.bound, algo, &mut cands, cost, stats, log);
+        hook.visit(start, &scratch.bound, cost.ops - before);
         frame.cands = cands;
         frame.cursor = 0;
     }
@@ -129,7 +190,7 @@ pub(crate) fn run_levels<S, F, L>(
             stats.matches += sign;
             emit(&scratch.bound, sign);
             scratch.bound.pop();
-        } else {
+        } else if hook.enter(level + 1) {
             scratch.bound.push(cand);
             level += 1;
             let Some(frame) = scratch.frames.get_mut(level) else {
@@ -137,6 +198,7 @@ pub(crate) fn run_levels<S, F, L>(
                 break;
             };
             let mut cands = std::mem::take(&mut frame.cands);
+            let before = cost.ops;
             gen_candidates_logged(
                 src,
                 plan,
@@ -146,8 +208,9 @@ pub(crate) fn run_levels<S, F, L>(
                 &mut cands,
                 cost,
                 stats,
-                log,
+                &mut |v, sel| hook.read(v, sel),
             );
+            hook.visit(level, &scratch.bound, cost.ops - before);
             let Some(frame) = scratch.frames.get_mut(level) else {
                 debug_assert!(false, "level beyond frame stack");
                 break;

@@ -26,7 +26,10 @@
 //! { `dm_i`, `merge` } }, `reorganize` }. The GPU kernel emits one `dm_i`
 //! per launch, its `count` the launch's (plan × seed) tasks; the CPU
 //! reference driver (`match_incremental`) emits one per delta-plan level,
-//! with `level = i`.
+//! with `level = i`. GCSM enumerates its kernel's tasks inside the
+//! estimator's host pass, so its `dm_i` nests in `freq_est` (`delta_build`
+//! ⊃ { `freq_est` ⊃ { `dm_i` }, `data_copy` }), and its `matching` span
+//! holds the charging of the tallied reads and `merge`.
 //! Sharded pipelines add a `route` span after `seal` and run each shard's
 //! engine spans inside a `shard_match` span. Stream mode adds `window`
 //! spans covering each batch's open-to-seal interval. Delta-cache mode
